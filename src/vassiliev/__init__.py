@@ -112,4 +112,17 @@ from .factorization import (
     verify_factorization,
 )
 
+from . import basis, diagrams, knot_table, knots, relations, weights
+
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every module-level cache; values are recomputed on demand."""
+    for cache in (diagrams._CANON_CACHE, diagrams._CHORD_CACHE,
+                  diagrams._ONE_VERTEX_CACHE, relations._REDUCE_CACHE,
+                  relations._RELATION_CACHE, relations._QUOTIENT_CACHE,
+                  basis._BASIS_CACHE, knots._HOMFLY_MEMO,
+                  weights._CYCLE_COUNTS, weights._DEFRAMED_CACHE):
+        cache.clear()
+    knot_table._TABLE = None

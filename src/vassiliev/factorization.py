@@ -492,6 +492,9 @@ def extract_alphas(pd: PlanarDiagram, basis: CanonicalBasis, max_degree: int,
     probes = tuple(sorted(set(int(p) for p in probes)))
     if len(probes) < 2 or probes[0] < 2 or probes[-1] > 9:
         raise ValueError("need at least two probe ranks within 2..9")
+    if max_degree < 2:
+        raise ValueError("max_degree must be at least 2: lower degrees "
+                         "carry no geometric factor to extract")
     if max_degree > basis.max_degree:
         raise ValueError("max_degree exceeds the basis")
     held_out = probes[-1]

@@ -1,4 +1,4 @@
-"""su(N) weight system in the fundamental representation.
+"""su(N) and gl(N) weight systems in the fundamental representation.
 
 The group factor of a diagram is evaluated exactly as a Laurent
 polynomial in N: the diagram is first reduced to chord diagrams by STU
@@ -11,6 +11,20 @@ completeness identity
 trace of the identity, so the empty diagram evaluates to 1.  The trace
 normalization c (fundamental trace of T^a T^b = c * delta) defaults to
 1/2 and is recorded in every output.
+
+Contracting every chord of a chord diagram D with m chords leaves closed
+index loops: the cycles of the boundary walk that runs along the circle
+to a leg, crosses its chord, and runs on.  Write cyc(D) for their number
+(1 for the empty diagram).  Keeping the -1/N term on a set J of chords
+deletes those chords (D - J), so every weight is a sum over chord subsets J:
+
+    gl(N):          c^m N^(cyc(D) - 1)
+    su(N):          c^m sum_J (-1)^|J| N^(cyc(D - J) - 1 - |J|)
+    deframed:       c^m sum_J (-1)^|J| N^(cyc(D - J) - 1 + |J|)
+
+The deframed weight is the same for su(N) and gl(N): gl(N) = su(N) + u(1),
+and u(1) only ever contributes an isolated chord, which deframing kills.
+All three are read off one cached table of (|J|, cyc(D - J)) counts.
 """
 
 from __future__ import annotations
@@ -49,60 +63,57 @@ class WeightConfig:
 
 DEFAULT_CONFIG = WeightConfig()
 
-_CHORD_WEIGHT_CACHE: dict[tuple, Laurent1] = {}
+_CYCLE_COUNTS: dict[Diagram, dict[tuple[int, int], int]] = {}
+_DEFRAMED_CACHE: dict[tuple[Diagram, Fraction], Laurent1] = {}
 
 
-def _loops(pairings: list[tuple[int, int]], n_arcs: int) -> int:
-    """Components of the arc multigraph (self-loops count as components)."""
-    parent = list(range(n_arcs))
+def _cycle_counts(d: Diagram) -> dict[tuple[int, int], int]:
+    """Chord diagram D -> {(|J|, cyc(D - J)): number of chord subsets J}.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairings:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(i) for i in range(n_arcs)})
-
-
-def _chord_weight(d: Diagram, cfg: WeightConfig) -> Laurent1:
-    """State sum over the 2^m resolutions of the chords of a chord diagram."""
-    key = (d, cfg.normalization, cfg.algebra)
-    cached = _CHORD_WEIGHT_CACHE.get(key)
-    if cached is not None:
-        return cached
+    Arc a runs from leg a to leg a + 1; the walk leaves it at leg a + 1,
+    straight on if that leg's chord is in J, else across the chord.
+    """
+    counts = _CYCLE_COUNTS.get(d)
+    if counts is not None:
+        return counts
     L = d.legs
-    chords = list(d.edges)
-    m = len(chords)
-    out = Laurent1.zero(var="N")
-    if L == 0:
-        out = Laurent1.one(var="N")
-    else:
-        subsets = [()] if cfg.algebra == "gl" else None
-        states = range(1 << m) if subsets is None else [0]
-        for state in states:
-            pairings = []
-            trace_chords = 0
-            for k, (p, q) in enumerate(chords):
-                if cfg.algebra == "su" and (state >> k) & 1:
-                    # identity term: chord removed, arcs rejoined locally
-                    trace_chords += 1
-                    pairings.append(((p - 1) % L, p))
-                    pairings.append(((q - 1) % L, q))
-                else:
-                    # swap term
-                    pairings.append(((p - 1) % L, q))
-                    pairings.append(((q - 1) % L, p))
-            loops = _loops(pairings, L)
-            coeff = Fraction(-1) ** trace_chords
-            out = out + Laurent1.term(coeff, loops - 1 - trace_chords, var="N")
-        out = out * (cfg.normalization ** m)
-    _CHORD_WEIGHT_CACHE[key] = out
-    return out
+    partner = [0] * L
+    chord_bit = [0] * L
+    for k, (p, q) in enumerate(d.edges):
+        partner[p], partner[q] = q, p
+        chord_bit[p] = chord_bit[q] = 1 << k
+    ends = [(a + 1) % L for a in range(L)]
+    counts = {}
+    for state in range(1 << len(d.edges)):
+        step = [t if chord_bit[t] & state else partner[t] for t in ends]
+        seen = [False] * L
+        cycles = 0 if L else 1  # the bare circle is one loop
+        for start in range(L):
+            if not seen[start]:
+                cycles += 1
+                a = start
+                while not seen[a]:
+                    seen[a] = True
+                    a = step[a]
+        key = (state.bit_count(), cycles)
+        counts[key] = counts.get(key, 0) + 1
+    _CYCLE_COUNTS[d] = counts
+    return counts
+
+
+def _weight(d: Diagram, cfg: WeightConfig, deframed: bool) -> Laurent1:
+    """Cycle-count formula summed over the chord diagrams of d."""
+    sign = 1 if deframed else -1
+    gl = cfg.algebra == "gl" and not deframed
+    coeffs: dict[int, Fraction] = {}
+    for c, coeff in reduce_to_chords(d).terms.items():
+        for (j, cycles), k in _cycle_counts(c).items():
+            if gl and j:
+                continue
+            e = cycles - 1 + sign * j
+            coeffs[e] = coeffs.get(e, 0) + (-1) ** j * k * coeff
+    scale = cfg.normalization ** d.degree
+    return Laurent1({e: v * scale for e, v in coeffs.items()}, var="N")
 
 
 def weight_sun(d: Diagram, cfg: WeightConfig = DEFAULT_CONFIG) -> Laurent1:
@@ -112,10 +123,7 @@ def weight_sun(d: Diagram, cfg: WeightConfig = DEFAULT_CONFIG) -> Laurent1:
     multiplicative over non-overlapping components and consistent with
     the STU and IHX relations by construction.
     """
-    out = Laurent1.zero(var="N")
-    for c, coeff in reduce_to_chords(d).terms.items():
-        out = out + _chord_weight(c, cfg) * coeff
-    return out
+    return _weight(d, cfg, deframed=False)
 
 
 def weight_sun_at(d: Diagram, n: int, cfg: WeightConfig = DEFAULT_CONFIG) -> Fraction:
@@ -131,54 +139,25 @@ def check_multiplicativity(d1: Diagram, d2: Diagram,
     return weight_sun(product(d1, d2), cfg) == weight_sun(d1, cfg) * weight_sun(d2, cfg)
 
 
-# --------------------------------------------------------------------------
-# deframed (standard-framing) weight system
-
-
-def _remove_chords(d: Diagram, keep: list[tuple[int, int]]) -> Diagram:
-    """Chord diagram with only the given chords, legs renumbered."""
-    legs = sorted(p for chord in keep for p in chord)
-    index = {p: i for i, p in enumerate(legs)}
-    return Diagram(len(legs), 0, [(index[a], index[b]) for a, b in keep])
-
-
-_DEFRAMED_CACHE: dict[tuple, Laurent1] = {}
-
-
-def _chord_weight_deframed(d: Diagram, cfg: WeightConfig) -> Laurent1:
-    key = (d, cfg.normalization, cfg.algebra)
-    cached = _DEFRAMED_CACHE.get(key)
-    if cached is not None:
-        return cached
-    from .diagrams import chord_diagram
-
-    theta = _chord_weight(chord_diagram([(0, 1)]), cfg)
-    chords = list(d.edges)
-    out = Laurent1.zero(var="N")
-    for r in range(len(chords) + 1):
-        import itertools as _it
-
-        for removed in _it.combinations(range(len(chords)), r):
-            keep = [c for k, c in enumerate(chords) if k not in removed]
-            sub = canonicalize(_remove_chords(d, keep)).diagram
-            term = _chord_weight(sub, cfg) * ((-1) ** r) * (theta ** r)
-            out = out + term
-    _DEFRAMED_CACHE[key] = out
-    return out
-
-
 def weight_sun_deframed(d: Diagram, cfg: WeightConfig = DEFAULT_CONFIG) -> Laurent1:
     """Weight corrected to vanish on diagrams with isolated chords.
 
-    On a chord diagram this is the alternating sum over chord subsets J
-    of (single-chord weight)^|J| times the plain weight with J removed;
-    it kills the isolated-chord ideal while still satisfying 4T, so it
-    descends to the reduced quotient and matches the coefficients of
-    unknot-normalized (framing-independent) knot invariants.
+    On a chord diagram D with m chords this is the alternating sum over
+    chord subsets J of (single-chord weight)^|J| times the plain weight
+    with J removed, which comes to
+
+        c^m sum_J (-1)^|J| N^(cyc(D - J) - 1 + |J|)
+
+    for su(N) and gl(N) alike (see the module docstring).  It kills the
+    isolated-chord ideal while still satisfying 4T, so it descends to the
+    reduced quotient and matches the coefficients of unknot-normalized
+    (framing-independent) knot invariants.  Memoized per diagram and
+    normalization.
     """
-    out = Laurent1.zero(var="N")
-    for c, coeff in reduce_to_chords(d).terms.items():
-        out = out + _chord_weight_deframed(c, cfg) * coeff
+    key = (d, cfg.normalization)
+    out = _DEFRAMED_CACHE.get(key)
+    if out is None:
+        out = _DEFRAMED_CACHE[key] = _weight(d, cfg, deframed=True)
     return out
 
 

@@ -8,6 +8,7 @@ import random
 import time
 from fractions import Fraction
 
+from vassiliev import clear_caches
 from vassiliev.basis import (
     BasisChangeMatrix,
     transform_alphas,
@@ -40,13 +41,7 @@ def _report(n, message):
 
 def test_criterion_1_dimension_table(basis6):
     # clear the in-process caches so the timing below is a cold run
-    from vassiliev import diagrams as _d
-    from vassiliev import relations as _r
-
-    _r._QUOTIENT_CACHE.clear()
-    _r._RELATION_CACHE.clear()
-    _d._CHORD_CACHE.clear()
-    _d._ONE_VERTEX_CACHE.clear()
+    clear_caches()
     t0 = time.time()
     dims = [dimension(i, True) for i in range(7)]
     elapsed = time.time() - t0

@@ -95,6 +95,15 @@ def test_verify_cmd_exit_codes(capsys):
     assert "passed: True" in out
 
 
+def test_verify_vacuous_degree_rejected(capsys):
+    for max_degree in ("0", "1"):
+        code, out, err = run_cli(capsys, "verify", "--knot", "3_1",
+                                 "--max-degree", max_degree)
+        assert code == 2, max_degree
+        assert "passed" not in out
+        assert "max_degree must be at least 2" in err
+
+
 def test_identities_cmd(capsys):
     code, out, _ = run_cli(capsys, "identities", "--max-degree", "4")
     assert code == 0

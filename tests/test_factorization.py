@@ -143,6 +143,8 @@ def test_extract_probe_validation(basis4):
         extract_alphas(knot("3_1"), basis4, 2, (1, 2))
     with pytest.raises(ValueError):
         extract_alphas(knot("3_1"), basis4, 5, (2, 3, 4))
+    with pytest.raises(ValueError):
+        extract_alphas(knot("3_1"), basis4, 1, (2, 3, 4, 5))
 
 
 def test_extract_granny_doubles(basis4):

@@ -1,18 +1,24 @@
+import functools
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from vassiliev import clear_caches, weights
 from vassiliev.diagrams import (
     EMPTY,
     Diagram,
+    canonicalize,
     chord_diagram,
+    chord_diagrams,
+    has_isolated_chord,
     product,
     random_diagram,
     serialize,
 )
 from vassiliev.laurent import Laurent1
-from vassiliev.relations import ihx, internal_edges, stu
+from vassiliev.relations import ihx, internal_edges, reduce_to_chords, stu
 from vassiliev.weights import (
     WeightConfig,
     check_multiplicativity,
@@ -26,6 +32,21 @@ from vassiliev.weights import (
 CFG = WeightConfig()
 CHORD = chord_diagram([(0, 1)])
 TRIPOD = Diagram(3, 1, [(0, 3), (1, 4), (2, 5)])
+
+
+def _with_isolated_chord(d, pos):
+    """d with an isolated chord inserted before circle position pos."""
+    L = d.legs
+
+    def shift(ep):
+        if ep < L:
+            return ep + 2 if ep >= pos else ep
+        v, s = divmod(ep - L, 3)
+        return (L + 2) + 3 * v + s
+
+    edges = [(shift(a), shift(b)) for a, b in d.edges]
+    edges.append((pos, pos + 1))
+    return Diagram(L + 2, d.vertices, edges)
 
 
 def _line_pairs(d):
@@ -121,21 +142,7 @@ def test_isolated_chord_factorization():
     rng = random.Random(44)
     for _ in range(15):
         d = random_diagram(rng, rng.randint(1, 3))
-        # insert an isolated chord at a random position
-        L = d.legs
-        pos = rng.randrange(L + 1)
-
-        def shift(ep):
-            if ep < L:
-                return ep + 2 if ep >= pos else ep
-            v, s = divmod(ep - L, 3)
-            return (L + 2) + 3 * v + s
-
-        edges = [(shift(a), shift(b)) for a, b in d.edges]
-        edges.append((pos, pos + 1))
-        with_chord = Diagram(L + 2, d.vertices, edges)
-        from vassiliev.diagrams import has_isolated_chord
-
+        with_chord = _with_isolated_chord(d, rng.randrange(d.legs + 1))
         assert has_isolated_chord(with_chord)
         assert weight_sun(with_chord, CFG) == \
             weight_sun(CHORD, CFG) * weight_sun(d, CFG)
@@ -153,6 +160,16 @@ def test_deframed_kills_isolated_chords():
     nested = chord_diagram([(0, 1), (2, 3)])
     assert weight_sun_deframed(nested, CFG) == Laurent1.zero("N")
     assert weight_sun_deframed(EMPTY, CFG) == Laurent1.one("N")
+    rng = random.Random(47)
+    for _ in range(40):
+        d = random_diagram(rng, rng.randint(0, 4))
+        with_chord = _with_isolated_chord(d, rng.randrange(d.legs + 1))
+        for cfg in (CFG, WeightConfig(algebra="gl")):
+            assert not weight_sun_deframed(with_chord, cfg), serialize(d)
+    for m in range(1, 6):
+        for d in chord_diagrams(m):
+            if has_isolated_chord(d):
+                assert not weight_sun_deframed(d, CFG), serialize(d)
 
 
 def test_deframed_agrees_on_tripod():
@@ -200,3 +217,138 @@ def test_product_group_rejects_overlap():
     cross = chord_diagram([(0, 2), (1, 3)])
     with pytest.raises(ValueError):
         weight_product_group(cross)
+
+
+# --------------------------------------------------------------------------
+# reference oracle: the direct 2^m / 3^m state sums over chord resolutions
+
+
+def _ref_loops(pairings, n_arcs):
+    parent = list(range(n_arcs))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairings:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return len({find(i) for i in range(n_arcs)})
+
+
+@functools.cache
+def _ref_chord_weight(d, cfg):
+    """Contract every chord: 2^m resolutions (one for gl)."""
+    L = d.legs
+    if L == 0:
+        return Laurent1.one(var="N")
+    out = Laurent1.zero(var="N")
+    states = range(1 << len(d.edges)) if cfg.algebra == "su" else [0]
+    for state in states:
+        pairings = []
+        trace_chords = 0
+        for k, (p, q) in enumerate(d.edges):
+            if (state >> k) & 1:
+                trace_chords += 1
+                pairings += [((p - 1) % L, p), ((q - 1) % L, q)]
+            else:
+                pairings += [((p - 1) % L, q), ((q - 1) % L, p)]
+        loops = _ref_loops(pairings, L)
+        out = out + Laurent1.term((-1) ** trace_chords,
+                                  loops - 1 - trace_chords, var="N")
+    return out * (cfg.normalization ** len(d.edges))
+
+
+def _ref_remove_chords(d, keep):
+    legs = sorted(p for chord in keep for p in chord)
+    index = {p: i for i, p in enumerate(legs)}
+    return Diagram(len(legs), 0, [(index[a], index[b]) for a, b in keep])
+
+
+@functools.cache
+def _ref_chord_weight_deframed(d, cfg):
+    """Alternating sum over removed chord subsets, theta^|J| w(D - J)."""
+    theta = _ref_chord_weight(CHORD, cfg)
+    chords = list(d.edges)
+    out = Laurent1.zero(var="N")
+    for r in range(len(chords) + 1):
+        factor = theta ** r * (-1) ** r
+        for removed in itertools.combinations(range(len(chords)), r):
+            keep = [c for k, c in enumerate(chords) if k not in removed]
+            sub = canonicalize(_ref_remove_chords(d, keep)).diagram
+            out = out + _ref_chord_weight(sub, cfg) * factor
+    return out
+
+
+def _ref_weight(d, cfg, chord_weight):
+    out = Laurent1.zero(var="N")
+    for c, coeff in reduce_to_chords(d).terms.items():
+        out = out + chord_weight(c, cfg) * coeff
+    return out
+
+
+ORACLE_CONFIGS = [WeightConfig(c, algebra)
+                  for c in (Fraction(1, 2), Fraction(2, 7))
+                  for algebra in ("su", "gl")]
+
+
+def _oracle_diagrams(basis):
+    out = [e.diagram for i in range(basis.max_degree + 1)
+           for e in basis.elements(i)]
+    rng = random.Random(46)
+    out += [random_diagram(rng, rng.randint(1, 5)) for _ in range(80)]
+    return out
+
+
+def test_matches_reference_state_sums(basis6):
+    diagrams = _oracle_diagrams(basis6)
+    assert len(diagrams) >= 18 + 75
+    for cfg in ORACLE_CONFIGS:
+        for d in diagrams:
+            assert weight_sun(d, cfg) == \
+                _ref_weight(d, cfg, _ref_chord_weight), (cfg, serialize(d))
+            assert weight_sun_deframed(d, cfg) == \
+                _ref_weight(d, cfg, _ref_chord_weight_deframed), \
+                (cfg, serialize(d))
+
+
+def test_deframed_su_equals_deframed_gl(basis6):
+    for c in (Fraction(1, 2), Fraction(3)):
+        su = WeightConfig(c, "su")
+        gl = WeightConfig(c, "gl")
+        for d in _oracle_diagrams(basis6):
+            assert weight_sun_deframed(d, su) == weight_sun_deframed(d, gl), \
+                serialize(d)
+
+
+def _boundary_cycles(d):
+    """Cycles of the permutation leg p -> partner of leg p + 1."""
+    partner = d.partner_map()
+    seen, cycles = set(), 0
+    for p in range(d.legs):
+        if p not in seen:
+            cycles += 1
+            while p not in seen:
+                seen.add(p)
+                p = partner[(p + 1) % d.legs]
+    return cycles or 1
+
+
+def test_gl_chord_weight_is_one_monomial():
+    for c in (Fraction(1, 2), Fraction(2, 7)):
+        cfg = WeightConfig(c, "gl")
+        for m in range(6):
+            for d in chord_diagrams(m):
+                expect = Laurent1.term(c ** m, _boundary_cycles(d) - 1, "N")
+                assert weight_sun(d, cfg) == expect, serialize(d)
+
+
+def test_weights_unchanged_after_clear_caches():
+    d = random_diagram(random.Random(48), 5)
+    before = (weight_sun(d, CFG), weight_sun_deframed(d, CFG))
+    clear_caches()
+    assert not weights._CYCLE_COUNTS and not weights._DEFRAMED_CACHE
+    assert (weight_sun(d, CFG), weight_sun_deframed(d, CFG)) == before
