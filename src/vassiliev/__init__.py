@@ -7,9 +7,7 @@ truncated power series, and the extraction of primitive geometric
 factors from knot polynomials via exponential factorization.
 
 All arithmetic is exact; every reported value is an identity, not an
-approximation.  All public types are immutable values and the module
-caches are idempotent, so everything here is safe to use from several
-threads concurrently.
+approximation.  All public types are immutable values.
 """
 
 from .diagrams import (

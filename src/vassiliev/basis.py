@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import diagrams as _diagrams_mod
+from . import linalg as _linalg_mod
 from . import relations as _relations_mod
 from .diagrams import (
     EMPTY,
@@ -95,9 +96,11 @@ class CanonicalBasis:
 
 
 def _code_version() -> str:
+    """Hash of the source that decides which basis gets built."""
     h = hashlib.sha256()
-    for mod in (_diagrams_mod, _relations_mod):
-        with open(mod.__file__, "rb") as fh:
+    for path in (_diagrams_mod.__file__, _relations_mod.__file__,
+                 _linalg_mod.__file__, __file__):
+        with open(path, "rb") as fh:
             h.update(fh.read())
     return h.hexdigest()[:16]
 

@@ -17,11 +17,18 @@ canonical labelling is found by minimizing a traversal code over all
 rotations and per-vertex orientation choices -- vertex numbering is
 forced by discovery order, so the search space is L * 2**T, which is
 tiny at the degrees (<= 7) this library targets.
+
+One-vertex diagrams (the 4T sources) are not placed on the circle
+directly: each comes from a canonical chord diagram by merging two
+adjacent legs into the leg of a new vertex, the inverse of an STU
+resolution.  At degree 6 that is 9,844 canonicalizations for the
+1,575 classes, against 34,650 for every placement of the vertex.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -142,65 +149,6 @@ def degree(d: Diagram) -> int:
 # canonical labelling
 
 
-def _scan(L, T, partner, rotation, eps, best):
-    """Generate the traversal code for one labelling choice.
-
-    Returns (tokens, better) where better is True if strictly smaller
-    than `best`; returns (None, False) when the code provably exceeds
-    `best` (early abort).
-    """
-    vid = {}
-    anchor = {}
-    order = []
-    tokens = []
-    undecided = best is not None  # still equal to best so far
-
-    def emit(t):
-        nonlocal undecided
-        if undecided:
-            b = best[len(tokens)]
-            if t > b:
-                return False
-            if t < b:
-                undecided = False
-        tokens.append(t)
-        return True
-
-    def tok(ep):
-        if ep < L:
-            return (ep - rotation) % L
-        v, s = divmod(ep - L, 3)
-        new = vid.get(v)
-        if new is None:
-            new = len(order)
-            vid[v] = new
-            anchor[v] = s
-            order.append(v)
-            return L + 3 * new
-        k = ((s - anchor[v]) * eps[v]) % 3
-        return L + 3 * new + k
-
-    for p in range(L):
-        if not emit(tok(partner[(rotation + p) % L])):
-            return None, False
-    i = 0
-    while i < len(order):
-        v = order[i]
-        a, e = anchor[v], eps[v]
-        for step in (1, 2):
-            if not emit(tok(partner[L + 3 * v + (a + step * e) % 3])):
-                return None, False
-        i += 1
-    return tuple(tokens), not undecided
-
-
-def _sign_of(eps) -> int:
-    sign = 1
-    for e in eps:
-        sign *= e
-    return sign
-
-
 _CANON_CACHE: dict[Diagram, tuple[SignedDiagram, tuple]] = {}
 
 
@@ -213,20 +161,57 @@ def _canonicalize_full(d: Diagram) -> tuple[SignedDiagram, tuple]:
         result = (SignedDiagram(EMPTY, 1), (0, 0))
         _CANON_CACHE[d] = result
         return result
-    partner = d.partner_map()
+    partner = [0] * (L + 3 * T)
+    for a, b in d.edges:
+        partner[a] = b
+        partner[b] = a
+    size = L + 2 * T
     best = None
     signs = set()
-    rotations = range(L) if L else range(1)
-    for rotation in rotations:
+    # One traversal code per (rotation, vertex orientations): the legs'
+    # partners in circle order, then the two non-anchor slots of each
+    # vertex in discovery order.  Vertex numbers follow discovery, and
+    # a code is dropped as soon as it exceeds the best one.
+    for rotation in range(L):
         for eps in itertools.product((1, -1), repeat=T):
-            tokens, better = _scan(L, T, partner, rotation, eps, best)
-            if tokens is None:
-                continue
-            if best is None or better:
-                best = tokens
-                signs = {_sign_of(eps)}
-            elif tokens == best:
-                signs.add(_sign_of(eps))
+            vid = [-1] * T
+            anchor = [0] * T
+            order = []
+            tokens = []
+            undecided = best is not None  # still equal to best so far
+            for j in range(size):
+                if j < L:
+                    ep = partner[(rotation + j) % L]
+                else:
+                    k = j - L
+                    v = order[k >> 1]
+                    ep = partner[L + 3 * v
+                                 + (anchor[v] + (1 + (k & 1)) * eps[v]) % 3]
+                if ep < L:
+                    t = (ep - rotation) % L
+                else:
+                    v, s = divmod(ep - L, 3)
+                    new = vid[v]
+                    if new < 0:
+                        new = vid[v] = len(order)
+                        anchor[v] = s
+                        order.append(v)
+                        t = L + 3 * new
+                    else:
+                        t = L + 3 * new + (s - anchor[v]) * eps[v] % 3
+                if undecided:
+                    b = best[j]
+                    if t > b:
+                        break
+                    if t < b:
+                        undecided = False
+                tokens.append(t)
+            else:
+                if undecided:
+                    signs.add(math.prod(eps))
+                else:
+                    best = tuple(tokens)
+                    signs = {math.prod(eps)}
     sign = 0 if (len(signs) == 2 or d.has_tadpole()) else signs.pop()
     canon = _rebuild(L, T, best)
     result = (SignedDiagram(canon, sign), (T, L) + best)
@@ -260,10 +245,6 @@ def canonicalize(d: Diagram) -> SignedDiagram:
 def canonical_key(d: Diagram) -> tuple:
     """Total order key on isomorphism classes: (T, L, traversal code)."""
     return _canonicalize_full(d)[1]
-
-
-def is_canonical(d: Diagram) -> bool:
-    return canonicalize(d).diagram == d
 
 
 # --------------------------------------------------------------------------
@@ -581,22 +562,30 @@ def one_vertex_diagrams(n: int) -> list[Diagram]:
 
     These are the sources of the four-term relations: the two leg
     resolutions of the vertex must agree in the chord-diagram quotient.
+    Each one is built from a degree-n chord diagram by merging two
+    circle-adjacent legs p, p+1 (not one isolated chord) into the single
+    leg of a new vertex, whose other two slots take the legs' partners.
+    This inverts the STU resolution at that leg, so every class arises.
     """
     if n in _ONE_VERTEX_CACHE:
         return _ONE_VERTEX_CACHE[n]
-    L = 2 * n - 1
+    m = 2 * n  # legs of a degree-n chord diagram
+    L = m - 1
     found = {}
-    if L >= 3:
-        for positions in itertools.combinations(range(L), 3):
-            rest = [p for p in range(L) if p not in positions]
-            x, y, z = positions
-            for slots in ((x, y, z), (x, z, y)):
-                base = [(slots[s], L + s) for s in range(3)]
-                for m in _matchings(rest):
-                    sd = canonicalize(Diagram(L, 1, base + m))
-                    if sd.sign == 0:
-                        continue
-                    found[canonical_key(sd.diagram)] = sd.diagram
+    for chord in chord_diagrams(n):
+        partner = chord.partner_map()
+        for p in range(m):
+            q = (p + 1) % m
+            if partner[p] == q:
+                continue
+            # rotate p, q to 0, 1, which both become the new leg 0
+            leg = [max((x - p) % m - 1, 0) for x in range(m)]
+            edges = [(0, L), (leg[partner[p]], L + 1), (leg[partner[q]], L + 2)]
+            edges += [(leg[x], leg[y]) for x, y in chord.edges
+                      if x not in (p, q) and y not in (p, q)]
+            sd = canonicalize(Diagram(L, 1, edges))
+            if sd.sign:
+                found[canonical_key(sd.diagram)] = sd.diagram
     out = [found[k] for k in sorted(found)]
     _ONE_VERTEX_CACHE[n] = out
     return out

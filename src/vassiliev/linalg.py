@@ -215,10 +215,3 @@ def invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
     return [r[n:] for r in rows]
 
-
-def mat_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    return [
-        [sum((x * y for x, y in zip(row, col)), Fraction(0))
-         for col in zip(*b)]
-        for row in a
-    ]

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from vassiliev.basis import (
     BasisChangeMatrix,
+    _code_version,
     coordinates,
     divides,
     is_valid_sum,
@@ -271,6 +273,28 @@ def test_basis_cache_roundtrip(tmp_path, basis4):
     again = load_basis(path)
     assert again.by_degree == basis4.by_degree
     assert again.version == basis4.version
+
+
+def test_basis_cache_rejects_other_code_version(tmp_path, basis4):
+    path = tmp_path / "basis.txt"
+    save_basis(basis4, str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    lines = ["code-version: 0000000000000000\n"
+             if ln.startswith("code-version:") else ln for ln in lines]
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match="different code version"):
+        load_basis(str(path))
+
+
+@pytest.mark.parametrize("module", ["diagrams", "relations", "linalg",
+                                    "basis"])
+def test_basis_code_version_covers_module(tmp_path, monkeypatch, module):
+    mod = importlib.import_module(f"vassiliev.{module}")
+    before = _code_version()
+    edited = tmp_path / f"{module}.py"
+    edited.write_bytes(open(mod.__file__, "rb").read() + b"# edited\n")
+    monkeypatch.setattr(mod, "__file__", str(edited))
+    assert _code_version() != before
 
 
 def test_basis_cache_rejects_corruption(tmp_path, basis4):

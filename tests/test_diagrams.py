@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -203,10 +204,75 @@ def test_diagram_sum_drops_zero_and_signs():
     assert not s
 
 
+def test_canonicalize_relabel_sign_law():
+    # random relabellings of diagrams with >= 2 vertices: rotate the
+    # circle, permute the vertices, and rotate or reverse each vertex's
+    # slots; every reversed vertex multiplies the sign by -1
+    rng = random.Random(11)
+    zeros = 0
+    for _ in range(150):
+        d = random_diagram(rng, rng.randint(2, 5), require_nonzero=False)
+        L, T = d.legs, d.vertices
+        if T < 2:
+            continue
+        base = canonicalize(d)
+        zeros += base.sign == 0
+        for _ in range(3):
+            shift = rng.randrange(L)
+            perm_v = rng.sample(range(T), T)
+            turn = [rng.randrange(3) for _ in range(T)]
+            flip = [rng.random() < 0.5 for _ in range(T)]
+
+            def remap(ep):
+                if ep < L:
+                    return (ep + shift) % L
+                v, s = divmod(ep - L, 3)
+                s = (turn[v] - s) % 3 if flip[v] else (s + turn[v]) % 3
+                return L + 3 * perm_v[v] + s
+
+            sd = canonicalize(
+                Diagram(L, T, [(remap(a), remap(b)) for a, b in d.edges]))
+            assert sd.diagram == base.diagram
+            assert sd.sign == base.sign * (-1) ** sum(flip)
+    assert zeros > 0
+
+
 def test_chord_diagram_class_counts():
-    assert [len(chord_diagrams(n)) for n in range(5)] == [1, 1, 2, 5, 18]
+    assert [len(chord_diagrams(n)) for n in range(7)] == \
+        [1, 1, 2, 5, 18, 105, 902]
+
+
+def _matchings_by_pairing(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for k in range(len(rest)):
+        for m in _matchings_by_pairing(rest[:k] + rest[k + 1:]):
+            yield [(first, rest[k])] + m
+
+
+def _one_vertex_by_placement(n):
+    # reference enumeration: the vertex on every 3 legs in both cyclic
+    # orders, with every matching of the remaining legs
+    L = 2 * n - 1
+    found = {}
+    for x, y, z in itertools.combinations(range(L), 3):
+        rest = [p for p in range(L) if p not in (x, y, z)]
+        for slots in ((x, y, z), (x, z, y)):
+            base = [(slots[s], L + s) for s in range(3)]
+            for m in _matchings_by_pairing(rest):
+                sd = canonicalize(Diagram(L, 1, base + m))
+                if sd.sign:
+                    found[canonical_key(sd.diagram)] = sd.diagram
+    return [found[k] for k in sorted(found)]
 
 
 def test_one_vertex_class_counts_small():
-    assert len(one_vertex_diagrams(2)) == 1
-    assert len(one_vertex_diagrams(3)) == 2
+    assert [len(one_vertex_diagrams(n)) for n in range(6)] == \
+        [0, 0, 1, 2, 15, 142]
+
+
+def test_one_vertex_matches_placement_enumeration():
+    for n in range(6):
+        assert one_vertex_diagrams(n) == _one_vertex_by_placement(n)
