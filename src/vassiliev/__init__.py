@@ -70,7 +70,6 @@ from .weights import (
     weight_sun_deframed_at,
 )
 from .series import (
-    BivariateSeries,
     RationalSeries,
     exp_series,
     log_series,

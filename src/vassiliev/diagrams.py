@@ -33,6 +33,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+def _dashed_roots(legs: int, vertices: int, edges) -> list[int]:
+    """Union-find root of every node of the dashed graph: legs are nodes
+    0..L-1 and internal vertex v is node L + v."""
+    parent = list(range(legs + vertices))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        ra = find(a if a < legs else legs + (a - legs) // 3)
+        rb = find(b if b < legs else legs + (b - legs) // 3)
+        if ra != rb:
+            parent[ra] = rb
+    return [find(x) for x in range(legs + vertices)]
+
+
 class Diagram:
     """Immutable trivalent diagram on an oriented circle."""
 
@@ -71,24 +90,10 @@ class Diagram:
     def _check_components_touch_circle(self) -> None:
         # every dashed component must contain at least one leg
         L = self.legs
-        parent = list(range(L + self.vertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def owner(ep):
-            return ep if ep < L else L + (ep - L) // 3
-
-        for a, b in self.edges:
-            ra, rb = find(owner(a)), find(owner(b))
-            if ra != rb:
-                parent[ra] = rb
-        leg_roots = {find(p) for p in range(L)}
-        for v in range(self.vertices):
-            if find(L + v) not in leg_roots:
+        roots = _dashed_roots(L, self.vertices, self.edges)
+        leg_roots = set(roots[:L])
+        for r in roots[L:]:
+            if r not in leg_roots:
                 raise ValueError(
                     "dashed component disconnected from the circle")
 
@@ -371,27 +376,12 @@ def decompose(d: Diagram) -> DecompositionReport:
     that no arc of the circle contains all legs of one of them.
     """
     L = d.legs
-    parent = list(range(L + d.vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def owner(ep):
-        return ep if ep < L else L + (ep - L) // 3
-
-    for a, b in d.edges:
-        ra, rb = find(owner(a)), find(owner(b))
-        if ra != rb:
-            parent[ra] = rb
-
+    roots = _dashed_roots(L, d.vertices, d.edges)
     groups: dict[int, dict] = {}
     for p in range(L):
-        groups.setdefault(find(p), {"legs": [], "vertices": []})["legs"].append(p)
+        groups.setdefault(roots[p], {"legs": [], "vertices": []})["legs"].append(p)
     for v in range(d.vertices):
-        groups.setdefault(find(L + v), {"legs": [], "vertices": []})[
+        groups.setdefault(roots[L + v], {"legs": [], "vertices": []})[
             "vertices"].append(v)
 
     components = []
@@ -411,7 +401,7 @@ def decompose(d: Diagram) -> DecompositionReport:
         edges = [
             (remap(a), remap(b))
             for a, b in d.edges
-            if find(owner(a)) == root
+            if roots[a if a < L else L + (a - L) // 3] == root
         ]
         sub = Diagram(nl, len(verts), edges)
         components.append(Component(sub, tuple(legs)))

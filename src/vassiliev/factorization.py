@@ -27,7 +27,7 @@ from .basis import BasisChangeReport, CanonicalBasis, transform_alphas
 from .diagrams import canonicalize, chord_diagram
 from .formal import MultiPoly, symbol
 from .knots import PlanarDiagram, homfly, sun_slice
-from .linalg import matrix_rank, solve_dense
+from .linalg import matrix_rank, rref, solve_dense
 from .series import (
     RationalSeries,
     log_series,
@@ -297,7 +297,7 @@ def derive_composite_identities(basis: CanonicalBasis,
 
     for key in sorted(set(lhs) | set(rhs)):
         diff = lhs.get(key, MultiPoly.zero()) - rhs.get(key, MultiPoly.zero())
-        if not diff.is_zero():
+        if diff:
             raise MasterMatchError(
                 f"unmatched monomial at x^{key[0]} x'^{key[1]}: {diff}")
 
@@ -306,7 +306,7 @@ def derive_composite_identities(basis: CanonicalBasis,
         if len(m) < 2:
             continue
         poly = normal[m]
-        ((mono, coeff),) = poly.terms.items()
+        ((mono, coeff),) = poly.coeffs.items()
         out.append(CompositeIdentity(m, coeff))
     return out
 
@@ -452,28 +452,15 @@ class ExtractionResult:
 
 def _rref_with_rhs(matrix, rhs):
     """Returns (rank, solved functionals); raises on inconsistency."""
-    rows = [list(r) + [v] for r, v in zip(matrix, rhs)]
     ncols = len(matrix[0]) if matrix else 0
-    r = 0
-    for c in range(ncols):
-        sel = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][ncols] != 0:
-            raise RuntimeError("inconsistent extraction system: the basis "
-                               "weights cannot reproduce the knot series")
-    functionals = tuple(
-        SolvedFunctional(tuple(row[:ncols]), row[ncols]) for row in rows[:r])
-    return r, functionals
+    rows, pivots, _ = rref([list(r) + [v] for r, v in zip(matrix, rhs)],
+                           ncols)
+    if any(row[ncols] for row in rows[len(pivots):]):
+        raise RuntimeError("inconsistent extraction system: the basis "
+                           "weights cannot reproduce the knot series")
+    functionals = tuple(SolvedFunctional(tuple(row[:ncols]), row[ncols])
+                        for row in rows[:len(pivots)])
+    return len(pivots), functionals
 
 
 def extract_alphas(pd: PlanarDiagram, basis: CanonicalBasis, max_degree: int,

@@ -3,12 +3,13 @@
 Used for the formal side of the engine: geometric factors attached to
 basis elements, formal group weights of connected components, and the
 framing variable.  Symbols are plain strings (built by `symbol`), a
-monomial is a sorted tuple of (symbol, exponent) pairs.
+monomial is a sorted tuple of (symbol, exponent) pairs.  The ring
+arithmetic and printing are `laurent.SparsePoly`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from .laurent import SparsePoly
 
 
 def symbol(*parts) -> str:
@@ -25,18 +26,16 @@ def _mono_mul(m1: tuple, m2: tuple) -> tuple:
     return tuple(sorted((s, e) for s, e in acc.items() if e))
 
 
-class MultiPoly:
+class MultiPoly(SparsePoly):
     """Polynomial in named symbols with Fraction coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        self.terms: dict[tuple, Fraction] = {}
-        if terms:
-            for mono, c in dict(terms).items():
-                c = Fraction(c)
-                if c != 0:
-                    self.terms[tuple(mono)] = c
+    _UNIT = ()
+    _mono_mul = staticmethod(_mono_mul)
+
+    def _factors(self, mono):
+        return mono
 
     @classmethod
     def zero(cls) -> "MultiPoly":
@@ -44,84 +43,22 @@ class MultiPoly:
 
     @classmethod
     def one(cls) -> "MultiPoly":
-        return cls({(): Fraction(1)})
+        return cls({(): 1})
 
     @classmethod
     def const(cls, c) -> "MultiPoly":
-        return cls({(): Fraction(c)})
+        return cls({(): c})
 
     @classmethod
     def sym(cls, name: str, power: int = 1) -> "MultiPoly":
         if power == 0:
             return cls.one()
-        return cls({((name, power),): Fraction(1)})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other)
-        return isinstance(other, MultiPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, Fraction(0)) + c
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-        return MultiPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            return MultiPoly({m: c * other for m, c in self.terms.items()})
-        out: dict[tuple, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                v = out.get(m, Fraction(0)) + c1 * c2
-                if v:
-                    out[m] = v
-                elif m in out:
-                    del out[m]
-        return MultiPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "MultiPoly":
-        out = MultiPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        return cls({((name, power),): 1})
 
     def substitute(self, mapping: dict[str, "MultiPoly"]) -> "MultiPoly":
         """Replace symbols by polynomials (symbols absent stay formal)."""
         out = MultiPoly.zero()
-        for mono, c in self.terms.items():
+        for mono, c in self.coeffs.items():
             term = MultiPoly.const(c)
             for s, e in mono:
                 rep = mapping.get(s)
@@ -129,30 +66,3 @@ class MultiPoly:
                 term = term * factor
             out = out + term
         return out
-
-    def monomial_coeff(self, mono: tuple) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
-            factors = []
-            if c == -1 and mono:
-                sign = "-"
-            else:
-                sign = ""
-                if c != 1 or not mono:
-                    factors.append(str(c))
-            for s, e in mono:
-                factors.append(s if e == 1 else f"{s}^{e}")
-            parts.append(sign + "*".join(factors))
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
-
-    def __repr__(self):
-        return f"MultiPoly({self})"

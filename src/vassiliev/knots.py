@@ -401,54 +401,29 @@ class _OrientedState:
     def _trace_code(self, start) -> tuple:
         disc: dict[int, int] = {}
         tokens: list = []
-        seen_out = set()
+        seen_out: set = set()
+        self._trace(start, disc, tokens, seen_out)
+        return self._finish_code(disc, tokens, seen_out)
 
-        def trace_from(s):
-            cur = s
-            while True:
-                seen_out.add(cur)
-                k, p = self.wiring[cur]
-                if k not in disc:
-                    disc[k] = len(disc)
-                    tokens.append(("n", self.signs[k], p))
-                else:
-                    tokens.append(("o", disc[k], p))
-                nxt = (k, _diag_exit(p))
-                if nxt == s:
-                    return
-                cur = nxt
-
-        trace_from(start)
-        # subsequent components: start from the smallest unvisited
-        # out-port of already-discovered crossings
+    def _trace(self, start, disc, tokens, seen_out) -> None:
+        """Walk one component from out-port `start`, appending a token per
+        arrival and numbering crossings in discovery order."""
+        cur = start
         while True:
-            cands = [
-                (disc[k], pp) for (k, pp) in self.out_ports()
-                if k in disc and (k, pp) not in seen_out]
-            if cands:
-                d_id, pp = min(cands)
-                k = next(kk for kk, nn in disc.items() if nn == d_id)
-                tokens.append(("c", d_id, pp))
-                trace_from((k, pp))
-                continue
-            remaining = [x for x in self.out_ports() if x not in seen_out]
-            if not remaining:
-                return tuple(tokens)
-            # split component: minimize over all possible entry points
-            best_tail = None
-            state = (dict(disc), list(tokens), set(seen_out))
-            for cand in remaining:
-                disc2, tokens2, seen2 = (dict(state[0]), list(state[1]),
-                                         set(state[2]))
-                disc, tokens, seen_out = disc2, tokens2, seen2
-                tokens.append(("s",))
-                trace_from(cand)
-                tail = self._finish_code(disc, tokens, seen_out)
-                if best_tail is None or tail < best_tail:
-                    best_tail = tail
-            return best_tail
+            seen_out.add(cur)
+            k, p = self.wiring[cur]
+            if k not in disc:
+                disc[k] = len(disc)
+                tokens.append(("n", self.signs[k], p))
+            else:
+                tokens.append(("o", disc[k], p))
+            cur = (k, _diag_exit(p))
+            if cur == start:
+                return
 
     def _finish_code(self, disc, tokens, seen_out) -> tuple:
+        # further components: start from the smallest unvisited out-port
+        # of an already-discovered crossing
         while True:
             cands = [
                 (disc[k], pp) for (k, pp) in self.out_ports()
@@ -458,44 +433,20 @@ class _OrientedState:
             d_id, pp = min(cands)
             k = next(kk for kk, nn in disc.items() if nn == d_id)
             tokens.append(("c", d_id, pp))
-            cur = (k, pp)
-            while True:
-                seen_out.add(cur)
-                kk, p = self.wiring[cur]
-                if kk not in disc:
-                    disc[kk] = len(disc)
-                    tokens.append(("n", self.signs[kk], p))
-                else:
-                    tokens.append(("o", disc[kk], p))
-                nxt = (kk, _diag_exit(p))
-                if nxt == (k, pp):
-                    break
-                cur = nxt
+            self._trace((k, pp), disc, tokens, seen_out)
         remaining = [x for x in self.out_ports() if x not in seen_out]
-        if remaining:
-            # nested split; handled recursively via the same minimization
-            best = None
-            for cand in remaining:
-                disc2, tokens2, seen2 = dict(disc), list(tokens), set(seen_out)
-                tokens2.append(("s",))
-                cur = cand
-                while True:
-                    seen2.add(cur)
-                    kk, p = self.wiring[cur]
-                    if kk not in disc2:
-                        disc2[kk] = len(disc2)
-                        tokens2.append(("n", self.signs[kk], p))
-                    else:
-                        tokens2.append(("o", disc2[kk], p))
-                    nxt = (kk, _diag_exit(p))
-                    if nxt == cand:
-                        break
-                    cur = nxt
-                tail = self._finish_code(disc2, tokens2, seen2)
-                if best is None or tail < best:
-                    best = tail
-            return best
-        return tuple(tokens)
+        if not remaining:
+            return tuple(tokens)
+        # split diagram: minimize over every entry point of the rest
+        best = None
+        for cand in remaining:
+            disc2, tokens2, seen2 = dict(disc), list(tokens), set(seen_out)
+            tokens2.append(("s",))
+            self._trace(cand, disc2, tokens2, seen2)
+            tail = self._finish_code(disc2, tokens2, seen2)
+            if best is None or tail < best:
+                best = tail
+        return best
 
     def to_planar(self) -> PlanarDiagram:
         """Retrace into sequential PD form (components in walk order)."""

@@ -1,33 +1,174 @@
-"""Exact Laurent polynomials in one and two variables.
+"""Exact sparse polynomials: one ring kernel and its three variants.
 
-Coefficients are `fractions.Fraction`; exponents are integers (possibly
-negative).  These carry weight-system values (variable N), bracket/Jones
-polynomials (variables A, t, q) and the two-variable skein polynomial
-(variables a, z).
+`SparsePoly` is a dict from monomial keys to nonzero `Fraction`
+coefficients with the ring operations, equality, hashing and printing.
+A subclass supplies only its monomial product, its unit monomial, how a
+monomial prints as (name, exponent) factors, and its print order.
+
+`Laurent1` (keys: int exponents) and `Laurent2` (keys: (int, int))
+carry weight-system values (variable N), bracket/Jones polynomials
+(variables A, t, q) and the two-variable skein polynomial (variables
+a, z).  `formal.MultiPoly` is the same ring over named symbols.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
+_ONE = Fraction(1)
 
-class Laurent1:
+
+class SparsePoly:
+    """Sparse polynomial with `Fraction` coefficients.
+
+    `coeffs` maps each monomial key to its nonzero coefficient; `names`
+    holds the variable names used by the printer.  Subclasses set
+    `_UNIT` (the key of the constant monomial), `_DESCENDING` (print
+    order) and define `_mono_mul(m1, m2)` (the product of two keys) and
+    `_factors(m)` (the (name, exponent) pairs a key prints as).
+    """
+
+    __slots__ = ("coeffs", "names")
+
+    _UNIT: object = None
+    _DESCENDING = False
+
+    def __init__(self, coeffs=None, names: tuple = ()):
+        self.names = names
+        self.coeffs: dict = {}
+        if coeffs:
+            for m, c in dict(coeffs).items():
+                c = Fraction(c)
+                if c:
+                    self.coeffs[m] = c
+
+    def _new(self, coeffs: dict):
+        """Same class and variables; `coeffs` must hold nonzero Fractions."""
+        out = object.__new__(type(self))
+        out.coeffs = coeffs
+        out.names = self.names
+        return out
+
+    def _lift(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._new({self._UNIT: Fraction(other)} if other else {})
+        return other
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        other = self._lift(other)
+        return isinstance(other, type(self)) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for m, c in self._lift(other).coeffs.items():
+            v = out.get(m)
+            if v is None:
+                out[m] = c
+            else:
+                v += c
+                if v:
+                    out[m] = v
+                else:
+                    del out[m]
+        return self._new(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new({m: -c for m, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-self._lift(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return self._new({})
+            return self._new({m: c * other for m, c in self.coeffs.items()})
+        mono_mul = self._mono_mul
+        out: dict = {}
+        for m1, c1 in self.coeffs.items():
+            for m2, c2 in other.coeffs.items():
+                m = mono_mul(m1, m2)
+                v = out.get(m)
+                out[m] = c1 * c2 if v is None else v + c1 * c2
+        return self._new({m: c for m, c in out.items() if c})
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        out = self._new({self._UNIT: _ONE})
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+    def __str__(self):
+        if not self.coeffs:
+            return "0"
+        out = ""
+        for m in sorted(self.coeffs, reverse=self._DESCENDING):
+            c = self.coeffs[m]
+            mono = "*".join(s if e == 1 else f"{s}^{e}"
+                            for s, e in self._factors(m) if e)
+            if not mono:
+                text = str(c)
+            elif c == 1:
+                text = mono
+            elif c == -1:
+                text = f"-{mono}"
+            else:
+                text = f"{c}*{mono}"
+            if not out:
+                out = text
+            elif text.startswith("-"):
+                out += f" - {text[1:]}"
+            else:
+                out += f" + {text}"
+        return out
+
+
+class Laurent1(SparsePoly):
     """Sparse Laurent polynomial in a single variable."""
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ()
+
+    _UNIT = 0
+    _DESCENDING = True
+    _mono_mul = staticmethod(operator.add)
 
     def __init__(self, coeffs=None, var: str = "t"):
-        self.var = var
-        self.coeffs: dict[int, Fraction] = {}
-        if coeffs:
-            for e, c in dict(coeffs).items():
-                c = Fraction(c)
-                if c != 0:
-                    self.coeffs[int(e)] = c
+        super().__init__(coeffs, (var,))
+
+    @property
+    def var(self) -> str:
+        return self.names[0]
+
+    def _factors(self, e):
+        return ((self.names[0], e),)
 
     @classmethod
     def term(cls, coeff, exp: int = 0, var: str = "t") -> "Laurent1":
-        return cls({exp: Fraction(coeff)}, var=var)
+        return cls({exp: coeff}, var=var)
 
     @classmethod
     def zero(cls, var: str = "t") -> "Laurent1":
@@ -35,79 +176,15 @@ class Laurent1:
 
     @classmethod
     def one(cls, var: str = "t") -> "Laurent1":
-        return cls({0: Fraction(1)}, var=var)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Laurent1.term(other, 0, var=self.var)
-        return isinstance(other, Laurent1) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other) -> "Laurent1":
-        if isinstance(other, (int, Fraction)):
-            other = Laurent1.term(other, 0, var=self.var)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            v = out.get(e, Fraction(0)) + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        return Laurent1(out, var=self.var)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Laurent1":
-        return Laurent1({e: -c for e, c in self.coeffs.items()}, var=self.var)
-
-    def __sub__(self, other) -> "Laurent1":
-        if isinstance(other, (int, Fraction)):
-            other = Laurent1.term(other, 0, var=self.var)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Laurent1":
-        return (-self) + other
-
-    def __mul__(self, other) -> "Laurent1":
-        if isinstance(other, (int, Fraction)):
-            return Laurent1({e: c * other for e, c in self.coeffs.items()},
-                            var=self.var)
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                v = out.get(e, Fraction(0)) + c1 * c2
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
-        return Laurent1(out, var=self.var)
-
-    __rmul__ = __mul__
+        return cls({0: 1}, var=var)
 
     def __pow__(self, n: int) -> "Laurent1":
         if n < 0:
             if len(self.coeffs) != 1:
                 raise ValueError("cannot invert a non-monomial")
             ((e, c),) = self.coeffs.items()
-            return Laurent1({-e: 1 / c}, var=self.var) ** (-n)
-        out = Laurent1.one(var=self.var)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def shift(self, k: int) -> "Laurent1":
-        """Multiply by var**k."""
-        return Laurent1({e + k: c for e, c in self.coeffs.items()}, var=self.var)
+            return self._new({-e: 1 / c}) ** (-n)
+        return super().__pow__(n)
 
     def substitute_monomial(self, k: int, var: str | None = None) -> "Laurent1":
         """Replace the variable by (new variable)**k."""
@@ -116,7 +193,7 @@ class Laurent1:
 
     def mirror(self) -> "Laurent1":
         """Replace the variable by its inverse."""
-        return Laurent1({-e: c for e, c in self.coeffs.items()}, var=self.var)
+        return self._new({-e: c for e, c in self.coeffs.items()})
 
     def __call__(self, value: Fraction | int) -> Fraction:
         value = Fraction(value)
@@ -125,123 +202,38 @@ class Laurent1:
             total += c * value ** e
         return total
 
-    def exponents(self) -> list[int]:
-        return sorted(self.coeffs)
 
-    def __repr__(self):
-        return f"Laurent1({self})"
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            if e == 0:
-                mono = str(c)
-            else:
-                pw = self.var if e == 1 else f"{self.var}^{e}"
-                if c == 1:
-                    mono = pw
-                elif c == -1:
-                    mono = f"-{pw}"
-                else:
-                    mono = f"{c}*{pw}"
-            parts.append(mono)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+def _pair_add(m1: tuple[int, int], m2: tuple[int, int]) -> tuple[int, int]:
+    return (m1[0] + m2[0], m1[1] + m2[1])
 
 
-class Laurent2:
+class Laurent2(SparsePoly):
     """Sparse Laurent polynomial in two variables (default a, z)."""
 
-    __slots__ = ("coeffs", "vars")
+    __slots__ = ()
+
+    _UNIT = (0, 0)
+    _DESCENDING = True
+    _mono_mul = staticmethod(_pair_add)
 
     def __init__(self, coeffs=None, vars: tuple[str, str] = ("a", "z")):
-        self.vars = vars
-        self.coeffs: dict[tuple[int, int], Fraction] = {}
-        if coeffs:
-            for (e1, e2), c in dict(coeffs).items():
-                c = Fraction(c)
-                if c != 0:
-                    self.coeffs[(int(e1), int(e2))] = c
+        super().__init__(coeffs, tuple(vars))
+
+    @property
+    def vars(self) -> tuple[str, str]:
+        return self.names
+
+    def _factors(self, m):
+        return zip(self.names, m)
 
     @classmethod
     def term(cls, coeff, e1: int = 0, e2: int = 0,
              vars: tuple[str, str] = ("a", "z")) -> "Laurent2":
-        return cls({(e1, e2): Fraction(coeff)}, vars=vars)
+        return cls({(e1, e2): coeff}, vars=vars)
 
     @classmethod
     def one(cls, vars: tuple[str, str] = ("a", "z")) -> "Laurent2":
-        return cls({(0, 0): Fraction(1)}, vars=vars)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Laurent2.term(other, vars=self.vars)
-        return isinstance(other, Laurent2) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other) -> "Laurent2":
-        if isinstance(other, (int, Fraction)):
-            other = Laurent2.term(other, vars=self.vars)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            v = out.get(e, Fraction(0)) + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        return Laurent2(out, vars=self.vars)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Laurent2":
-        return Laurent2({e: -c for e, c in self.coeffs.items()}, vars=self.vars)
-
-    def __sub__(self, other) -> "Laurent2":
-        if isinstance(other, (int, Fraction)):
-            other = Laurent2.term(other, vars=self.vars)
-        return self + (-other)
-
-    def __mul__(self, other) -> "Laurent2":
-        if isinstance(other, (int, Fraction)):
-            return Laurent2({e: c * other for e, c in self.coeffs.items()},
-                            vars=self.vars)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a1, z1), c1 in self.coeffs.items():
-            for (a2, z2), c2 in other.coeffs.items():
-                e = (a1 + a2, z1 + z2)
-                v = out.get(e, Fraction(0)) + c1 * c2
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
-        return Laurent2(out, vars=self.vars)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Laurent2":
-        if n < 0:
-            raise ValueError("negative powers of a two-variable polynomial")
-        out = Laurent2.one(vars=self.vars)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def shift(self, k1: int, k2: int) -> "Laurent2":
-        return Laurent2({(a + k1, z + k2): c for (a, z), c in self.coeffs.items()},
-                        vars=self.vars)
+        return cls({(0, 0): 1}, vars=vars)
 
     def substitute(self, first: Laurent1, second: Laurent1) -> Laurent1:
         """Evaluate at one-variable Laurent polynomials (a ring map)."""
@@ -250,33 +242,4 @@ class Laurent2:
             if e2 < 0:
                 raise ValueError("negative exponent in second variable")
             out = out + (first ** e1) * (second ** e2) * c
-        return out
-
-    def __repr__(self):
-        return f"Laurent2({self})"
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        u, v = self.vars
-        parts = []
-        for (e1, e2) in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[(e1, e2)]
-            factors = []
-            if c == -1:
-                sign = "-"
-            else:
-                sign = ""
-                if c != 1 or (e1 == 0 and e2 == 0):
-                    factors.append(str(c))
-            if e1:
-                factors.append(u if e1 == 1 else f"{u}^{e1}")
-            if e2:
-                factors.append(v if e2 == 1 else f"{v}^{e2}")
-            if not factors:
-                factors.append("1")
-            parts.append(sign + "*".join(factors))
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out

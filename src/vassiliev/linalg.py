@@ -1,9 +1,10 @@
 """Exact rational linear algebra.
 
 Everything here works over exact rationals (or integer-scaled rows); no
-floating point.  The sizes involved are small (a few thousand sparse
-relation rows, dense systems of order <= ~10), so the implementations
-favour clarity and exactness over asymptotics.
+floating point.  There are two kernels: `SparseEliminator`, incremental
+integer row reduction for the few thousand sparse 4T relation rows, and
+`rref`, dense Fraction Gauss-Jordan for the small systems (order <= ~10)
+behind solving, rank, determinants and inverses.
 """
 
 from __future__ import annotations
@@ -125,6 +126,43 @@ class SparseEliminator:
                     self.pivots[col2] = _normalize_int_row(new)
 
 
+def rref(matrix: list[list], ncols: int | None = None
+         ) -> tuple[list[list[Fraction]], list[int], Fraction]:
+    """Reduced row echelon form by exact Gauss-Jordan elimination.
+
+    Pivots are taken only in the first `ncols` columns (default: all),
+    each the first nonzero entry at or below the current row; later
+    columns (a right-hand side, an identity block) ride along.  Returns
+    `(rows, pivot_cols, det)`: the reduced rows, whose i-th row has its
+    unit pivot in column `pivot_cols[i]`, and the product of the pivots
+    times the sign of the row swaps -- the determinant of a square
+    leading block, and 0 when some column of it has no pivot.
+    """
+    rows = [[Fraction(v) for v in r] for r in matrix]
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    pivot_cols: list[int] = []
+    det = Fraction(1)
+    for c in range(ncols):
+        r = len(pivot_cols)
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            det = Fraction(0)
+            continue
+        if sel != r:
+            rows[r], rows[sel] = rows[sel], rows[r]
+            det = -det
+        pivot = rows[r][c]
+        det *= pivot
+        prow = rows[r] = [v / pivot for v in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [a - f * b for a, b in zip(row, prow)]
+        pivot_cols.append(c)
+    return rows, pivot_cols, det
+
+
 def solve_dense(
     matrix: list[list[Fraction]], rhs: list[Fraction]
 ) -> list[Fraction] | None:
@@ -133,85 +171,29 @@ def solve_dense(
     Requires the solution to be unique (full column rank); raises
     ValueError otherwise.
     """
-    rows = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(matrix, rhs)]
     ncols = len(matrix[0]) if matrix else 0
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        pr = rows[r]
-        inv = 1 / pr[c]
-        rows[r] = [v * inv for v in pr]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivot_of_col[c] = r
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][ncols] != 0:
-            return None  # inconsistent
-    if len(pivot_of_col) < ncols:
+    rows, pivots, _ = rref([list(r) + [v] for r, v in zip(matrix, rhs)],
+                           ncols)
+    if any(row[ncols] for row in rows[len(pivots):]):
+        return None  # inconsistent
+    if len(pivots) < ncols:
         raise ValueError("system is underdetermined (rank-deficient)")
-    return [rows[pivot_of_col[c]][ncols] for c in range(ncols)]
+    return [row[ncols] for row in rows[:ncols]]
 
 
 def matrix_rank(matrix: list[list[Fraction]]) -> int:
-    elim = SparseEliminator()
-    for row in matrix:
-        elim.add_row({j: v for j, v in enumerate(row) if v != 0})
-    return elim.rank
+    return len(rref(matrix)[1])
 
 
 def determinant(matrix: list[list[Fraction]]) -> Fraction:
-    n = len(matrix)
-    rows = [list(map(Fraction, r)) for r in matrix]
-    det = Fraction(1)
-    for c in range(n):
-        sel = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                sel = i
-                break
-        if sel is None:
-            return Fraction(0)
-        if sel != c:
-            rows[c], rows[sel] = rows[sel], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return det
+    return rref(matrix)[2]
 
 
 def invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     n = len(matrix)
-    rows = [list(map(Fraction, r)) + [Fraction(int(i == j)) for j in range(n)]
-            for i, r in enumerate(matrix)]
-    for c in range(n):
-        sel = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                sel = i
-                break
-        if sel is None:
-            raise ValueError("matrix is singular")
-        rows[c], rows[sel] = rows[sel], rows[c]
-        inv = 1 / rows[c][c]
-        rows[c] = [v * inv for v in rows[c]]
-        for i in range(n):
-            if i != c and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    rows, pivots, _ = rref(
+        [list(r) + [int(i == j) for j in range(n)]
+         for i, r in enumerate(matrix)], n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
     return [r[n:] for r in rows]
-

@@ -1,11 +1,11 @@
-"""Exact truncated power series in one and two grading variables.
+"""Exact truncated power series in one grading variable.
 
 A `RationalSeries` is a truncated power series sum(c_i x^i, i <= K) with
 exact rational coefficients.  The truncation order K is explicit and
 arithmetic never extends it silently: combining series of different
 truncations truncates to the smaller K.  No floating point anywhere.
 
-The coefficient helpers at the bottom (`seq_mul`, `seq_exp`, `seq_log`)
+The coefficient helpers (`seq_mul`, `seq_exp`, `seq_log`)
 are duck-typed over the coefficient ring: they are reused with
 polynomial-valued coefficients for formal resummation identities.
 """
@@ -172,58 +172,3 @@ def substitute_exponential(p: Laurent1, order: int,
             coeffs[k] += q * power
             power = power * rate / (k + 1)
     return RationalSeries(coeffs)
-
-
-@dataclass(frozen=True)
-class BivariateSeries:
-    """Truncated power series in two variables x, x' (total degree <= K)."""
-
-    order: int
-    coeffs: tuple  # sorted tuple of ((i, j), Fraction)
-
-    def __init__(self, coeffs, order: int):
-        cleaned = {}
-        for (i, j), c in dict(coeffs).items():
-            c = Fraction(c)
-            if c != 0 and i + j <= order:
-                cleaned[(i, j)] = c
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(sorted(cleaned.items())))
-
-    def as_dict(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self.coeffs)
-
-    @classmethod
-    def one(cls, order: int) -> "BivariateSeries":
-        return cls({(0, 0): Fraction(1)}, order)
-
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        return self.as_dict().get(key, _ZERO)
-
-    def __add__(self, other):
-        K = min(self.order, other.order)
-        out = self.as_dict()
-        for e, c in other.coeffs:
-            out[e] = out.get(e, _ZERO) + c
-        return BivariateSeries(out, K)
-
-    def __neg__(self):
-        return BivariateSeries({e: -c for e, c in self.coeffs}, self.order)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BivariateSeries({e: c * other for e, c in self.coeffs},
-                                   self.order)
-        K = min(self.order, other.order)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self.coeffs:
-            for (i2, j2), c2 in other.coeffs:
-                i, j = i1 + i2, j1 + j2
-                if i + j <= K:
-                    out[(i, j)] = out.get((i, j), _ZERO) + c1 * c2
-        return BivariateSeries(out, K)
-
-    __rmul__ = __mul__

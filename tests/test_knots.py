@@ -227,6 +227,26 @@ def test_random_braid_knots_slice_oracle():
         checked += 1
 
 
+def test_homfly_memo_matches_fresh():
+    # the skein memo is keyed on canonical_code; a key that merged two
+    # different states would make shared-memo values differ from fresh ones
+    import random
+
+    from vassiliev.knots import _HOMFLY_MEMO
+
+    rng = random.Random(61)
+    words = []
+    for _ in range(60):
+        strands = rng.randint(2, 4)
+        words.append((strands, [rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                                for _ in range(rng.randint(1, 9))]))
+    shared = [homfly(BraidWord(s, w)) for s, w in words]
+    assert len(_HOMFLY_MEMO) > len(words)
+    for (s, w), value in zip(words, shared):
+        _HOMFLY_MEMO.clear()  # the skein recursion's only cache
+        assert homfly(BraidWord(s, w)) == value, (s, w)
+
+
 def test_markov_stabilization_invariance():
     # adding a strand and a kink generator leaves the closure unchanged;
     # this drives the curl-handling paths of the skein recursion

@@ -1,0 +1,129 @@
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from vassiliev.linalg import determinant, invert, matrix_rank, rref, solve_dense
+
+
+def rand_matrix(rng, rows, cols, density=0.8):
+    return [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+             if rng.random() < density else Fraction(0)
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def leibniz(a):
+    n = len(a)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(
+            (a[i][perm[i]] for i in range(n)), start=Fraction(1))
+    return total
+
+
+def minor_rank(a):
+    """Largest k with a nonzero k x k minor (Leibniz determinants)."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    for k in range(min(rows, cols), 0, -1):
+        for ri in itertools.combinations(range(rows), k):
+            for ci in itertools.combinations(range(cols), k):
+                if leibniz([[a[i][j] for j in ci] for i in ri]):
+                    return k
+    return 0
+
+
+def mat_vec(a, x):
+    return [sum((v * w for v, w in zip(row, x)), Fraction(0)) for row in a]
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def test_determinant_matches_leibniz():
+    rng = random.Random(1)
+    for n in range(0, 6):
+        for density in (0.3, 0.8, 1.0):
+            a = rand_matrix(rng, n, n, density)
+            assert determinant(a) == leibniz(a), a
+    # a row swap is the first pivot choice: det [[0, 1], [1, 0]] = -1
+    assert determinant([[0, 1], [1, 0]]) == -1
+
+
+def test_invert_is_two_sided_inverse():
+    rng = random.Random(2)
+    checked = 0
+    while checked < 30:
+        n = rng.randint(1, 6)
+        a = rand_matrix(rng, n, n, 0.6)
+        if not leibniz(a):
+            with pytest.raises(ValueError):
+                invert(a)
+            continue
+        inv = invert(a)
+        ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        assert [mat_vec(a, col) for col in transpose(inv)] == transpose(ident)
+        assert [mat_vec(inv, col) for col in transpose(a)] == transpose(ident)
+        checked += 1
+
+
+def test_solve_dense_zero_residual():
+    rng = random.Random(3)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        m = rng.randint(n, n + 3)
+        a = rand_matrix(rng, m, n)
+        if minor_rank(a) < n:
+            continue
+        x = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+        b = mat_vec(a, x)
+        sol = solve_dense(a, b)
+        assert sol == x
+        assert [u - v for u, v in zip(mat_vec(a, sol), b)] == [0] * m
+
+
+def test_rank_matches_minors_and_transpose():
+    rng = random.Random(4)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        a = rand_matrix(rng, rows, cols, rng.choice((0.2, 0.5, 0.9)))
+        if rng.random() < 0.3 and rows > 1:
+            a[-1] = [2 * v - w for v, w in zip(a[0], a[1 % rows])]
+        r = matrix_rank(a)
+        assert r == minor_rank(a) == matrix_rank(transpose(a)), a
+
+
+def test_rref_shape_and_det():
+    rng = random.Random(5)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 6)
+        a = rand_matrix(rng, rows, cols, 0.5)
+        ncols = rng.randint(0, cols)
+        red, pivots, det = rref(a, ncols)
+        assert pivots == sorted(pivots) and all(p < ncols for p in pivots)
+        for i, p in enumerate(pivots):
+            assert [row[p] for row in red] == [int(k == i)
+                                               for k in range(rows)]
+        for row in red[len(pivots):]:
+            assert not any(row[:ncols])
+        if rows == ncols:
+            assert det == leibniz([r[:ncols] for r in a])
+
+
+def test_singular_and_inconsistent_systems():
+    with pytest.raises(ValueError):
+        invert([[1, 2], [2, 4]])
+    assert determinant([[1, 2], [2, 4]]) == 0
+    # consistent but rank-deficient: the solution is not unique
+    with pytest.raises(ValueError):
+        solve_dense([[1, 2], [2, 4]], [3, 6])
+    with pytest.raises(ValueError):
+        solve_dense([[1, 1, 0]], [1])
+    # inconsistent, square and overdetermined
+    assert solve_dense([[1, 2], [2, 4]], [3, 7]) is None
+    assert solve_dense([[1], [1]], [0, 1]) is None
+    assert solve_dense([[1, 0], [0, 1], [1, 1]], [1, 2, 3]) == [1, 2]

@@ -6,7 +6,6 @@ import pytest
 
 from vassiliev.laurent import Laurent1
 from vassiliev.series import (
-    BivariateSeries,
     RationalSeries,
     exp_series,
     log_series,
@@ -124,14 +123,3 @@ def test_substitute_exponential_scale():
     t = Laurent1({2: 1}, var="q")  # q^2 at q = e^{x/2} is e^x
     s = substitute_exponential(t, K, scale=Fraction(1, 2))
     assert s == substitute_exponential(Laurent1({1: 1}), K)
-
-
-def test_bivariate_basics():
-    a = BivariateSeries({(1, 0): 1, (0, 1): 1}, order=3)
-    sq = a * a
-    assert sq[(2, 0)] == 1 and sq[(1, 1)] == 2 and sq[(0, 2)] == 1
-    # truncation drops high total degree
-    cube = sq * a
-    assert cube.order == 3
-    quad = cube * a
-    assert all(i + j <= 3 for (i, j), _ in quad.coeffs)

@@ -191,7 +191,7 @@ def test_product_group_connected():
     assert set(out) == {(2, 0), (0, 2)}
     # one factor, single symbol each
     for poly in out.values():
-        assert len(poly.terms) == 1
+        assert len(poly.coeffs) == 1
 
 
 def test_product_group_empty():
@@ -209,7 +209,7 @@ def test_product_group_square():
     assert set(out) == {(4, 0), (2, 2), (0, 4)}
     # the mixed term carries multiplicity 2
     mixed = out[(2, 2)]
-    ((mono, coeff),) = mixed.terms.items()
+    ((mono, coeff),) = mixed.coeffs.items()
     assert coeff == 2
 
 
