@@ -36,7 +36,13 @@ from .diagrams import (
     serialize,
 )
 from .linalg import SparseEliminator, determinant, invert
-from .relations import ihx, internal_edges, quotient_space, stu
+from .relations import (
+    ihx,
+    internal_edges,
+    quotient_space,
+    reduce_to_chords,
+    stu,
+)
 
 
 @dataclass(frozen=True)
@@ -65,7 +71,13 @@ class Coordinates:
 
 
 class CanonicalBasis:
-    """Per-degree ordered element lists, connected elements first."""
+    """Per-degree ordered element lists, connected elements first.
+
+    `residuals` maps (degree, index) to the element's class in the
+    reduced quotient of its degree.  `canonical_basis` fills it while
+    selecting elements; a basis read by `load_basis` starts empty, and
+    `residual` builds a degree's 4T quotient on first use.
+    """
 
     def __init__(self, max_degree: int, by_degree: dict[int, list[BasisElement]],
                  residuals: dict[tuple[int, int], dict[int, Fraction]],
@@ -93,6 +105,14 @@ class CanonicalBasis:
 
     def element(self, degree: int, index: int) -> BasisElement:
         return self.by_degree[degree][index]
+
+    def residual(self, e: BasisElement) -> dict[int, Fraction]:
+        """Class of element e in the reduced quotient of its degree."""
+        key = (e.degree, e.index)
+        if key not in self.residuals:
+            self.residuals[key] = quotient_space(e.degree, True).residual(
+                e.diagram)
+        return self.residuals[key]
 
 
 def _code_version() -> str:
@@ -233,7 +253,7 @@ def coordinates(d: Diagram, basis: CanonicalBasis) -> Coordinates:
     space = quotient_space(i, True)
     target = space.residual(d)
     elems = basis.elements(i)
-    cols = [basis.residuals[(i, e.index)] for e in elems]
+    cols = [basis.residual(e) for e in elems]
     support = sorted(set(target) | {c for col in cols for c in col})
     matrix = [[col.get(s, Fraction(0)) for col in cols] for s in support]
     rhs = [target.get(s, Fraction(0)) for s in support]
@@ -479,7 +499,14 @@ def save_basis(basis: CanonicalBasis, path: str) -> None:
 
 
 def load_basis(path: str) -> CanonicalBasis:
-    """Load and verify a cache file; stale or corrupt caches are rejected."""
+    """Load and verify a cache file; stale or corrupt caches are rejected.
+
+    Reads the file, checks its format, code version and checksum, and
+    STU-expands each element into chord diagrams (the input of weights,
+    extraction, verification and coordinates).  No quotient space is
+    built here: the 4T quotient of a degree is built on the first
+    `coordinates` call at that degree.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != "# canonical basis cache":
@@ -520,13 +547,12 @@ def load_basis(path: str) -> CanonicalBasis:
                 if comps else ()
             by_degree[deg].append(
                 BasisElement(deg, eidx, parse(diag), components))
-    residuals = {}
-    for i, elems in by_degree.items():
-        space = quotient_space(i, True) if elems else None
+    # fills the STU-expansion cache that weights and coordinates read
+    for elems in by_degree.values():
         for e in elems:
-            residuals[(i, e.index)] = space.residual(e.diagram)
+            reduce_to_chords(e.diagram)
     version = header.get("version", "")
-    return CanonicalBasis(max_degree, by_degree, residuals, version)
+    return CanonicalBasis(max_degree, by_degree, {}, version)
 
 
 def _split_element(ln: str):

@@ -260,12 +260,13 @@ class _OrientedState:
     out-port with an in-port.
     """
 
-    __slots__ = ("signs", "wiring", "loops")
+    __slots__ = ("signs", "wiring", "loops", "_outs")
 
     def __init__(self, signs: dict, wiring: dict, loops: int):
         self.signs = signs  # crossing id -> +-1
         self.wiring = wiring  # (id, port) -> (id, port), symmetric
         self.loops = loops
+        self._outs = None  # sorted out-ports, filled on first use
 
     @classmethod
     def from_planar(cls, pd: PlanarDiagram) -> "_OrientedState":
@@ -281,10 +282,12 @@ class _OrientedState:
             wiring[y] = x
         return cls(signs, wiring, pd.loops)
 
-    def out_ports(self):
-        return sorted(
-            (k, p) for k, s in self.signs.items()
-            for p in (2, 1 if s > 0 else 3))
+    def out_ports(self) -> tuple:
+        if self._outs is None:
+            self._outs = tuple(sorted(
+                (k, p) for k, s in self.signs.items()
+                for p in (2, 1 if s > 0 else 3)))
+        return self._outs
 
     def _walk_components(self):
         """Yield components as lists of (crossing, in_port) arrivals."""
@@ -431,7 +434,7 @@ class _OrientedState:
             if not cands:
                 break
             d_id, pp = min(cands)
-            k = next(kk for kk, nn in disc.items() if nn == d_id)
+            k = list(disc)[d_id]  # disc numbers crossings in insertion order
             tokens.append(("c", d_id, pp))
             self._trace((k, pp), disc, tokens, seen_out)
         remaining = [x for x in self.out_ports() if x not in seen_out]

@@ -188,8 +188,10 @@ class Laurent1(SparsePoly):
 
     def substitute_monomial(self, k: int, var: str | None = None) -> "Laurent1":
         """Replace the variable by (new variable)**k."""
-        return Laurent1({e * k: c for e, c in self.coeffs.items()},
-                        var=var or self.var)
+        out: dict = {}
+        for e, c in self.coeffs.items():
+            out[e * k] = out.get(e * k, 0) + c
+        return Laurent1(out, var=var or self.var)
 
     def mirror(self) -> "Laurent1":
         """Replace the variable by its inverse."""

@@ -108,11 +108,11 @@ class SparseEliminator:
 
     def back_substitute(self) -> None:
         """Fully reduce pivot rows against each other (RREF form)."""
-        for col in sorted(self.pivots, reverse=True):
+        cols = sorted(self.pivots)
+        for k in range(len(cols) - 1, -1, -1):
+            col = cols[k]
             piv = self.pivots[col]
-            for col2 in sorted(self.pivots):
-                if col2 >= col:
-                    break
+            for col2 in cols[:k]:
                 row = self.pivots[col2]
                 if col in row:
                     a, b = piv[col], row[col]

@@ -30,6 +30,13 @@ from vassiliev.relations import quotient_space, stu
 TRIPOD = Diagram(3, 1, [(0, 3), (1, 4), (2, 5)])
 
 
+@pytest.fixture(scope="module")
+def loaded5(tmp_path_factory, basis5):
+    path = str(tmp_path_factory.mktemp("cache") / "basis-deg5.txt")
+    save_basis(basis5, path)
+    return load_basis(path)
+
+
 def test_basis_counts(basis6):
     assert [basis6.d(i) for i in range(7)] == [1, 0, 1, 1, 3, 4, 9]
     assert [basis6.d_hat(i) for i in range(2, 7)] == [1, 1, 2, 3, 5]
@@ -96,9 +103,10 @@ def test_coordinates_tripod(basis5):
     assert c.values == (Fraction(1),)  # the tripod is the degree-2 element
 
 
-def test_coordinates_reject_isolated_chord(basis5):
-    with pytest.raises(ValueError):
-        coordinates(chord_diagram([(0, 1)]), basis5)
+def test_coordinates_reject_isolated_chord(basis5, loaded5):
+    for basis in (basis5, loaded5):
+        with pytest.raises(ValueError):
+            coordinates(chord_diagram([(0, 1)]), basis)
 
 
 def test_coordinates_random_consistency(basis5):
@@ -273,6 +281,37 @@ def test_basis_cache_roundtrip(tmp_path, basis4):
     again = load_basis(path)
     assert again.by_degree == basis4.by_degree
     assert again.version == basis4.version
+
+
+def test_load_basis_builds_no_quotient_space(tmp_path, basis5, monkeypatch):
+    path = str(tmp_path / "basis.txt")
+    save_basis(basis5, path)
+
+    def refuse(*args):
+        raise AssertionError("load_basis built a quotient space")
+
+    monkeypatch.setattr("vassiliev.basis.quotient_space", refuse)
+    loaded = load_basis(path)
+    assert loaded.by_degree == basis5.by_degree
+    assert loaded.residuals == {}
+
+
+def test_loaded_basis_coordinates_match_built(loaded5, basis5):
+    # the loaded basis fills a degree's residuals on its first
+    # `coordinates` call there; they and every coordinate match the
+    # basis that `canonical_basis` built
+    rng = random.Random(37)
+    for i in (2, 3, 4, 5):
+        done = 0
+        while done < 4:
+            d = random_diagram(rng, i)
+            if has_isolated_chord(d):
+                continue
+            assert coordinates(d, loaded5) == coordinates(d, basis5)
+            done += 1
+        for e in loaded5.elements(i):
+            key = (i, e.index)
+            assert loaded5.residuals[key] == basis5.residuals[key]
 
 
 def test_basis_cache_rejects_other_code_version(tmp_path, basis4):

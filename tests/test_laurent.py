@@ -93,3 +93,15 @@ def test_ring_operations_are_evaluation_homomorphisms():
         at = {s: MultiPoly.const(rng.randint(-3, 3)) for s in "xyz"}
         assert (m * n + n).substitute(at) == \
             m.substitute(at) * n.substitute(at) + n.substitute(at)
+
+
+def test_substitute_monomial_is_an_evaluation_homomorphism():
+    # t -> t^0 sends every term to the constant: coefficients add up
+    assert Laurent1({1: 1, 2: 1}).substitute_monomial(0) == 2
+    rng = random.Random(11)
+    for _ in range(20):
+        p = Laurent1(_rand_coeffs(rng, lambda: rng.randint(-3, 3)))
+        x = F(rng.randint(1, 5), rng.randint(1, 3))
+        for k in (-2, -1, 0, 1, 2, 3):
+            q = p.substitute_monomial(k, var="q")
+            assert q.var == "q" and q(x) == p(x ** k)
