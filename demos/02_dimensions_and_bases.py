@@ -2,9 +2,11 @@
 
 Everything is computed over exact rationals: diagrams reduce to chord
 diagrams by STU, the four-term relations are generated mechanically,
-and dimensions come from exact row reduction.  The canonical basis at
-each degree lists connected diagrams first and then one product for
-every multiset of lower-degree connected elements.
+and the reduced dimensions come from exact row reduction.  The
+unreduced (framed) dimensions and classes are read off the reduced
+quotients via A^fr = A[theta], theta the isolated chord.  The canonical
+basis at each degree lists connected diagrams first and then one
+product for every multiset of lower-degree connected elements.
 """
 
 import time

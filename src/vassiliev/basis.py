@@ -86,7 +86,6 @@ class CanonicalBasis:
         self.by_degree = by_degree
         self.residuals = residuals  # (degree, index) -> quotient residual
         self.version = version
-        self.reduced = True
 
     def elements(self, degree: int) -> list[BasisElement]:
         return self.by_degree[degree]

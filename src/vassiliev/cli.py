@@ -171,9 +171,14 @@ def cmd_weight(args) -> int:
     cfg = _config(args, "weight")
     if args.diagram:
         text = args.diagram
-    else:
+    elif args.diagram_file:
         with open(args.diagram_file) as fh:
-            text = fh.read().strip().splitlines()[0]
+            lines = fh.read().strip().splitlines()
+        if not lines:
+            raise ValueError(f"{args.diagram_file}: no diagram in the file")
+        text = lines[0]
+    else:
+        raise ValueError("specify one of --diagram, --diagram-file")
     d = parse_diagram(text)
     from .weights import weight_sun_deframed, weight_sun_deframed_at
 
@@ -181,7 +186,7 @@ def cmd_weight(args) -> int:
     wfun_at = weight_sun_deframed_at if args.deframed else weight_sun_at
     report = {"config": asdict(cfg), "diagram": serialize(d),
               "degree": d.degree, "deframed": bool(args.deframed)}
-    if args.rank:
+    if args.rank is not None:
         report["rank"] = args.rank
         report["value"] = _frac(wfun_at(d, args.rank))
     else:

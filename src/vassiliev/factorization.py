@@ -19,9 +19,10 @@ the slice substitution.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .basis import BasisChangeReport, CanonicalBasis, transform_alphas
 from .diagrams import canonicalize, chord_diagram
@@ -139,13 +140,6 @@ def _multiset_degree(m: tuple) -> int:
     return sum(label[0] for label in m)
 
 
-def _multiset_counts(m: tuple) -> dict:
-    counts: dict = {}
-    for label in m:
-        counts[label] = counts.get(label, 0) + 1
-    return counts
-
-
 def _normal_forms(multisets) -> dict[tuple, MultiPoly]:
     """Solve the product-group matching triangularly: every composite's
     factor becomes a monomial in the connected factors."""
@@ -175,7 +169,7 @@ class CompositeIdentity:
         return _multiset_degree(self.components)
 
     def render(self) -> str:
-        counts = _multiset_counts(self.components)
+        counts = Counter(self.components)
         factors = []
         for label in sorted(counts):
             e = counts[label]
@@ -189,7 +183,7 @@ class CompositeIdentity:
     def expected_coefficient(self) -> Fraction:
         """Independent multinomial: product over types of 1/p!."""
         out = Fraction(1)
-        for p in _multiset_counts(self.components).values():
+        for p in Counter(self.components).values():
             out /= factorial(p)
         return out
 
@@ -267,7 +261,7 @@ def derive_composite_identities(basis: CanonicalBasis,
             for (a, b), poly in factors.items():
                 add(lhs, (a, b), a_m * poly)
         else:
-            counts = _multiset_counts(m)
+            counts = Counter(m)
             items = sorted(counts.items())
             ranges = [range(c + 1) for _, c in items]
             for pick in itertools.product(*ranges):
@@ -275,7 +269,7 @@ def derive_composite_identities(basis: CanonicalBasis,
                 mono = MultiPoly.one()
                 a = 0
                 for (label, c), s in zip(items, pick):
-                    ways *= _binom(c, s)
+                    ways *= comb(c, s)
                     a += label[0] * s
                     mono = mono * MultiPoly.sym(g_sym(label, "G"), s)
                     mono = mono * MultiPoly.sym(g_sym(label, "G2"), c - s)
@@ -309,10 +303,6 @@ def derive_composite_identities(basis: CanonicalBasis,
         ((mono, coeff),) = poly.coeffs.items()
         out.append(CompositeIdentity(m, coeff))
     return out
-
-
-def _binom(n: int, k: int) -> int:
-    return factorial(n) // (factorial(k) * factorial(n - k))
 
 
 # --------------------------------------------------------------------------
@@ -463,6 +453,24 @@ def _rref_with_rhs(matrix, rhs):
     return len(pivots), functionals
 
 
+def _held_out_solve(weights, targets, pinned, dhat: int):
+    """Solve the connected factors on the training probes.
+
+    `weights[k]` is probe k's weight row (connected elements first, then
+    composites) and `targets[k]` its series coefficient; the pinned
+    composite factors are subtracted, the last probe is held out.
+    Returns (solution or None if the training system is inconsistent,
+    whether the held-out probe agrees).
+    """
+    resid = [t - sum((v * w for v, w in zip(pinned, row[dhat:])), Fraction(0))
+             for row, t in zip(weights, targets)]
+    sol = solve_dense([row[:dhat] for row in weights[:-1]], resid[:-1])
+    if sol is None:
+        return None, False
+    return sol, sum((s * w for s, w in zip(sol, weights[-1][:dhat])),
+                    Fraction(0)) == resid[-1]
+
+
 def extract_alphas(pd: PlanarDiagram, basis: CanonicalBasis, max_degree: int,
                    probes=(2, 3, 4, 5), cfg: WeightConfig = DEFAULT_CONFIG,
                    knot_name: str = "") -> ExtractionResult:
@@ -485,7 +493,6 @@ def extract_alphas(pd: PlanarDiagram, basis: CanonicalBasis, max_degree: int,
     if max_degree > basis.max_degree:
         raise ValueError("max_degree exceeds the basis")
     held_out = probes[-1]
-    train = probes[:-1]
     h = homfly(pd)
     series = {n: substitute_exponential(sun_slice(h, n), max_degree,
                                         scale=HALF)
@@ -494,16 +501,6 @@ def extract_alphas(pd: PlanarDiagram, basis: CanonicalBasis, max_degree: int,
         if series[n][0] != 1:
             raise RuntimeError("slice series is not unknot-normalized")
 
-    weights: dict[tuple[int, int], dict[int, Fraction]] = {}
-
-    def w(elem, n):
-        key = (elem.degree, elem.index)
-        if key not in weights:
-            weights[key] = {}
-        if n not in weights[key]:
-            weights[key][n] = weight_sun_deframed_at(elem.diagram, n, cfg)
-        return weights[key][n]
-
     connected_values: dict[tuple[int, int], Fraction] = {}
     chain_intact = True
     degrees = []
@@ -511,14 +508,15 @@ def extract_alphas(pd: PlanarDiagram, basis: CanonicalBasis, max_degree: int,
         elems = basis.elements(i)
         conn = [e for e in elems if e.connected]
         comps = [e for e in elems if e.composite]
-        design_all = [[w(e, n) for e in elems] for n in probes]
+        # one row per probe, connected elements first (the basis order)
+        design_all = [[weight_sun_deframed_at(e.diagram, n, cfg)
+                       for e in elems] for n in probes]
         rhs_all = [series[n][i] for n in probes]
         design_rank, functionals = _rref_with_rhs(design_all, rhs_all)
-        conn_cols = [[w(e, n) for e in conn] for n in probes]
+        conn_cols = [row[:len(conn)] for row in design_all]
         connected_rank = matrix_rank(conn_cols)
         # solving uses the training probes only, so full rank must hold there
-        connected_full = matrix_rank(
-            [[w(e, n) for e in conn] for n in train]) == len(conn)
+        connected_full = matrix_rank(conn_cols[:-1]) == len(conn)
 
         connected_alphas = composite_alphas = None
         held_ok = None
@@ -526,27 +524,14 @@ def extract_alphas(pd: PlanarDiagram, basis: CanonicalBasis, max_degree: int,
             pinned = []
             for e in comps:
                 val = Fraction(1)
-                for label, p in _multiset_counts(tuple(e.components)).items():
+                for label, p in Counter(e.components).items():
                     val *= connected_values[label] ** p / factorial(p)
                 pinned.append(val)
-            rows = []
-            vals = []
-            for n in train:
-                resid = series[n][i]
-                for e, val in zip(comps, pinned):
-                    resid -= val * w(e, n)
-                rows.append([w(e, n) for e in conn])
-                vals.append(resid)
-            sol = solve_dense(rows, vals)
+            sol, held_ok = _held_out_solve(design_all, rhs_all, pinned,
+                                           len(conn))
             if sol is None:
                 raise RuntimeError(
                     f"degree {i}: training probes are inconsistent")
-            resid_h = series[held_out][i]
-            for e, val in zip(comps, pinned):
-                resid_h -= val * w(e, held_out)
-            held_ok = sum(
-                (s * w(e, held_out) for s, e in zip(sol, conn)),
-                Fraction(0)) == resid_h
             connected_alphas = tuple(sol)
             composite_alphas = tuple(pinned)
             for e, v in zip(conn, sol):
@@ -619,7 +604,7 @@ def verify_factorization(pd: PlanarDiagram, basis: CanonicalBasis,
         for e, pinned in zip(comps, d.composite_alphas):
             ident = identities[tuple(sorted(e.components))]
             expected = ident.coefficient
-            for label, p in _multiset_counts(tuple(e.components)).items():
+            for label, p in Counter(e.components).items():
                 expected *= connected_values[label] ** p
             composite_rows.append(
                 (d.degree, tuple(e.components), pinned, expected))
@@ -680,7 +665,6 @@ def reextract_under_change(extraction: ExtractionResult,
     elems = basis.elements(degree)
     dhat = basis.d_hat(degree)
     probes = extraction.probes
-    train = probes[:-1]
     weights_old = {
         n: [weight_sun_deframed_at(e.diagram, n, cfg) for e in elems]
         for n in probes}
@@ -693,21 +677,11 @@ def reextract_under_change(extraction: ExtractionResult,
     # pin the new composite factors contravariantly and solve connected
     alpha_new_expected = transform_alphas(change, list(old.alphas))
     pinned = alpha_new_expected[dhat:]
-    rows, vals = [], []
-    for n in train:
-        resid = extraction.series_at(n)[degree]
-        for j, val in enumerate(pinned):
-            resid -= val * new_weights[n][dhat + j]
-        rows.append(new_weights[n][:dhat])
-        vals.append(resid)
-    sol = solve_dense(rows, vals)
+    sol, held_ok = _held_out_solve(
+        [new_weights[n] for n in probes],
+        [extraction.series_at(n)[degree] for n in probes], pinned, dhat)
     if sol is None:
         raise RuntimeError("re-extraction became inconsistent")
-    held = probes[-1]
-    resid_h = extraction.series_at(held)[degree]
-    for j, val in enumerate(pinned):
-        resid_h -= val * new_weights[held][dhat + j]
-    if sum((s * wgt for s, wgt in zip(sol, new_weights[held][:dhat])),
-           Fraction(0)) != resid_h:
+    if not held_ok:
         raise RuntimeError("re-extraction failed the held-out probe")
     return tuple(sol) + tuple(pinned)

@@ -231,17 +231,15 @@ def jones(pd: PlanarDiagram) -> Laurent1:
     out = {}
     for e, coeff in f.coeffs.items():
         if e % 4:
-            raise ValueError("normalized bracket has a non-quartic exponent")
+            raise ValueError("the Jones polynomial of a link with an even "
+                             "number of components lies in t^(1/2), which "
+                             "is not supported")
         out[-e // 4] = coeff
     return Laurent1(out, var="t")
 
 
 # --------------------------------------------------------------------------
 # oriented diagram state for the skein recursion
-
-
-def _in_ports(sign: int) -> tuple[int, int]:
-    return (0, 3 if sign > 0 else 1)
 
 
 def _over_in(sign: int) -> int:

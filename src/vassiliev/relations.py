@@ -7,9 +7,11 @@ chord-level shadow of STU -- are generated mechanically as differences
 of the leg resolutions of one-vertex diagrams.  The reduced quotient
 additionally kills every diagram with an isolated chord.
 
-The quotient is represented by an exact sparse row reduction of the
-relation rows; membership, dimensions and coordinates all run over
-exact rationals.
+The reduced quotient is represented by an exact sparse row reduction of
+the relation rows; membership, dimensions and coordinates all run over
+exact rationals.  The framed quotient (4T alone) is A[theta], theta the
+isolated chord: its dimensions and classes are read off the reduced
+quotients of the lower degrees, with no elimination of its own.
 """
 
 from __future__ import annotations
@@ -33,15 +35,10 @@ from .linalg import SparseEliminator
 
 
 def _leg_partners(d: Diagram, v: int) -> list[int]:
-    """Circle positions attached to vertex v, sorted."""
+    """Circle positions attached to vertex v, sorted (edges are sorted
+    pairs, so a leg is always the first end of its edge)."""
     L = d.legs
-    out = []
-    for a, b in d.edges:
-        if a < L and b >= L and (b - L) // 3 == v:
-            out.append(a)
-        elif b < L and a >= L and (a - L) // 3 == v:
-            out.append(b)
-    return sorted(out)
+    return sorted(a for a, b in d.edges if a < L <= b and (b - L) // 3 == v)
 
 
 def stu(d: Diagram, v: int, leg: int | None = None) -> DiagramSum:
@@ -166,17 +163,8 @@ _REDUCE_CACHE: dict[Diagram, DiagramSum] = {}
 def _first_resolvable(d: Diagram) -> tuple[int, int] | None:
     """Smallest leg whose edge ends on a vertex, with that vertex."""
     L = d.legs
-    best = None
-    for a, b in d.edges:
-        if a < L and b >= L:
-            cand = (a, (b - L) // 3)
-        elif b < L and a >= L:
-            cand = (b, (a - L) // 3)
-        else:
-            continue
-        if best is None or cand[0] < best[0]:
-            best = cand
-    return best
+    return min(((a, (b - L) // 3) for a, b in d.edges if a < L <= b),
+               default=None)
 
 
 def reduce_to_chords(d: Diagram) -> DiagramSum:
@@ -189,10 +177,7 @@ def reduce_to_chords(d: Diagram) -> DiagramSum:
     sd = canonicalize(d)
     if sd.sign == 0:
         return DiagramSum()
-    out = DiagramSum()
-    for d2, c in _reduce_canonical(sd.diagram).terms.items():
-        out.add(d2, sd.sign * c)
-    return out
+    return _reduce_canonical(sd.diagram) * sd.sign
 
 
 def _reduce_canonical(d: Diagram) -> DiagramSum:
@@ -205,11 +190,7 @@ def _reduce_canonical(d: Diagram) -> DiagramSum:
     if pick is None:
         raise ValueError("no vertex adjacent to the circle")
     leg, v = pick
-    out = DiagramSum()
-    for d2, c in stu(d, v, leg).terms.items():
-        for d3, c3 in _reduce_canonical(d2).terms.items():
-            out.add(d3, c * c3)
-    _REDUCE_CACHE[d] = out
+    out = _REDUCE_CACHE[d] = stu(d, v, leg).map_terms(_reduce_canonical)
     return out
 
 
@@ -248,44 +229,35 @@ def four_t_relations(degree: int) -> RelationSet:
 
 
 # --------------------------------------------------------------------------
-# the chord-diagram quotient at a fixed degree
+# the chord-diagram quotients at a fixed degree
 
 
 class QuotientSpace:
-    """Span of degree-i chord diagrams modulo 4T (and isolated chords).
+    """Span of degree-i chord diagrams modulo 4T and isolated chords.
 
-    `diagrams` is the ambient list of canonical chord diagrams (with
-    isolated-chord diagrams removed in the reduced quotient); the 4T
-    rows are reduced incrementally and kept as integer pivot rows.
+    `diagrams` is the ambient list of canonical chord diagrams without
+    an isolated chord; the 4T rows are reduced incrementally and kept as
+    integer pivot rows.
     """
 
-    def __init__(self, degree: int, reduced: bool):
+    def __init__(self, degree: int):
         self.degree = degree
-        self.reduced = reduced
-        ambient = chord_diagrams(degree)
-        if reduced:
-            ambient = [c for c in ambient if not has_isolated_chord(c)]
-        self.diagrams = ambient
-        self.index = {d: i for i, d in enumerate(ambient)}
+        self.diagrams = [c for c in chord_diagrams(degree)
+                         if not has_isolated_chord(c)]
+        self.index = {d: i for i, d in enumerate(self.diagrams)}
         self.eliminator = SparseEliminator()
-        for row in self._relation_rows():
-            self.eliminator.add_row(row)
-        self.eliminator.back_substitute()
-
-    def _relation_rows(self):
-        rows = []
-        for rel in four_t_relations(self.degree).relations:
+        for rel in four_t_relations(degree).relations:
             row = self._vector(rel)
             if row:
-                rows.append(row)
-        return rows
+                self.eliminator.add_row(row)
+        self.eliminator.back_substitute()
 
     def _vector(self, s: DiagramSum) -> dict[int, Fraction]:
         vec: dict[int, Fraction] = {}
         for d, c in s.terms.items():
             idx = self.index.get(d)
             if idx is None:
-                if self.reduced and has_isolated_chord(d):
+                if has_isolated_chord(d):
                     continue  # killed in the reduced quotient
                 raise KeyError(f"not a degree-{self.degree} chord diagram: {d}")
             vec[idx] = vec.get(idx, Fraction(0)) + c
@@ -295,14 +267,11 @@ class QuotientSpace:
     def dimension(self) -> int:
         return len(self.diagrams) - self.eliminator.rank
 
-    def vector_of(self, s: DiagramSum | Diagram) -> dict[int, Fraction]:
-        if isinstance(s, Diagram):
-            s = reduce_to_chords(s)
-        return self._vector(s)
-
     def residual(self, s: DiagramSum | Diagram) -> dict[int, Fraction]:
         """Representative of the class of s modulo the relations."""
-        return self.eliminator.reduce(self.vector_of(s))
+        if isinstance(s, Diagram):
+            s = reduce_to_chords(s)
+        return self.eliminator.reduce(self._vector(s))
 
     def is_zero(self, s: DiagramSum | Diagram) -> bool:
         return not self.residual(s)
@@ -311,13 +280,74 @@ class QuotientSpace:
         return self.residual(s1 - s2) == {}
 
 
+def _drop_chord(d: Diagram, a: int, b: int) -> Diagram:
+    """The chord diagram d without its chord (a, b), a < b."""
+    def pos(p: int) -> int:
+        return p - (p > a) - (p > b)
+    return canonicalize(Diagram(d.legs - 2, 0, [
+        (pos(x), pos(y)) for x, y in d.edges if x != a])).diagram
+
+
+class FramedQuotientSpace(QuotientSpace):
+    """Span of degree-n chord diagrams modulo 4T alone, read off the
+    reduced quotients through A^fr = A[theta] (theta the isolated chord).
+
+    For a chord diagram D and a set J of its chords, D_J keeps the chords
+    of J.  y(D) = sum_J (-theta)^(n-|J|) D_J projects onto a complement
+    of theta A^fr that maps isomorphically onto the reduced quotient, and
+    y(D) has the reduced class of D; Moebius inversion gives
+    D = sum_J theta^(n-|J|) y(D_J).  So the theta^k part of D's class is
+    the sum over |J| = n-k of the reduced residual of D_J (0 when D_J has
+    an isolated chord), and `residual` returns {(k, column): x}.  Each
+    class is built from the degree-(n-1) classes of D minus one chord,
+    which count every J with |J| = n-k exactly k times, and memoized.
+    No 4T row is eliminated here.
+    """
+
+    def __init__(self, degree: int):
+        self.degree = degree
+        self._classes: dict[Diagram, dict[tuple[int, int], Fraction]] = {}
+
+    @property
+    def dimension(self) -> int:
+        return sum(quotient_space(k).dimension for k in range(self.degree + 1))
+
+    def _class(self, d: Diagram) -> dict[tuple[int, int], Fraction]:
+        if d in self._classes:
+            return self._classes[d]
+        out = {(0, c): x for c, x in
+               quotient_space(self.degree).residual(d).items()}
+        if self.degree:
+            lower = quotient_space(self.degree - 1, False)
+            for a, b in d.edges:
+                for (k, c), x in lower._class(_drop_chord(d, a, b)).items():
+                    out[(k + 1, c)] = out.get((k + 1, c), 0) + x / (k + 1)
+        self._classes[d] = out = {key: x for key, x in out.items() if x}
+        return out
+
+    def residual(self, s: DiagramSum | Diagram) -> dict:
+        """The class of s as {(theta power k, reduced column): x}."""
+        if isinstance(s, Diagram):
+            s = reduce_to_chords(s)
+        out: dict[tuple[int, int], Fraction] = {}
+        for d, c in s.terms.items():
+            if d.vertices or d.degree != self.degree:
+                raise KeyError(f"not a degree-{self.degree} chord diagram: {d}")
+            for key, x in self._class(d).items():
+                out[key] = out.get(key, 0) + c * x
+        return {key: x for key, x in out.items() if x}
+
+
 _QUOTIENT_CACHE: dict[tuple[int, bool], QuotientSpace] = {}
 
 
 def quotient_space(degree: int, reduced: bool = True) -> QuotientSpace:
+    """The degree's chord-diagram quotient: reduced (4T and isolated
+    chords) or framed (4T alone, built from the reduced ones)."""
     key = (degree, reduced)
     if key not in _QUOTIENT_CACHE:
-        _QUOTIENT_CACHE[key] = QuotientSpace(degree, reduced)
+        _QUOTIENT_CACHE[key] = (QuotientSpace if reduced
+                                else FramedQuotientSpace)(degree)
     return _QUOTIENT_CACHE[key]
 
 
@@ -325,7 +355,8 @@ def dimension(degree: int, reduced: bool = True) -> int:
     """Number of independent group factors at the given degree.
 
     With reduced=True diagrams containing isolated chords are quotiented
-    away as well (framing-independent setting).
+    away as well (framing-independent setting); the framed dimension is
+    sum_{k <= degree} d_k.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")

@@ -67,6 +67,27 @@ def test_weight_cmd(capsys):
     assert code == 0 and "value: 3/4" in out
 
 
+def test_weight_hostile_input_exit_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "weight")
+    assert code == 2 and not out
+    assert "specify one of --diagram, --diagram-file" in err
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    code, out, err = run_cli(capsys, "weight", "--diagram-file", str(empty))
+    assert code == 2 and not out and "no diagram" in err
+    for rank in ("0", "1", "-3"):
+        code, out, err = run_cli(capsys, "weight", "--diagram", "L=2 T=0 1-2",
+                                 "--rank", rank)
+        assert code == 2 and not out, rank
+        assert "rank must be at least 2" in err
+
+
+def test_jones_even_component_link_rejected(capsys):
+    code, out, err = run_cli(capsys, "jones", "--braid", "2:")
+    assert code == 2 and not out
+    assert "even number of components" in err and "t^(1/2)" in err
+
+
 def test_basis_cmd_with_cache(tmp_path, capsys):
     cache = str(tmp_path / "cache")
     code, out, _ = run_cli(capsys, "basis", "--max-degree", "3",

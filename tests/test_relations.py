@@ -1,18 +1,24 @@
+import functools
 import random
 
 import pytest
 
+from vassiliev import relations
 from vassiliev.diagrams import (
     Diagram,
     DiagramSum,
     canonicalize,
     chord_diagram,
+    chord_diagrams,
     decompose,
+    product,
     random_diagram,
     serialize,
 )
+from vassiliev.linalg import SparseEliminator
 from vassiliev.relations import (
     dimension,
+    four_t_relations,
     ihx,
     internal_edges,
     quotient_space,
@@ -163,12 +169,94 @@ def test_dimension_rejects_negative():
 
 
 def test_four_t_relations_vanish_in_quotient():
-    from vassiliev.relations import four_t_relations
-
-    for degree in (2, 3, 4):
+    for degree in (2, 3, 4, 5):
         rels = four_t_relations(degree)
         assert rels.degree == degree
         space = quotient_space(degree, False)
         for rel in rels.relations:
             assert all(t.degree == degree for t in rel.terms)
             assert space.is_zero(rel)
+
+
+# --------------------------------------------------------------------------
+# the framed quotient against a direct elimination over all chord diagrams
+
+
+@functools.cache
+def _framed_oracle(degree):
+    """Chord diagrams modulo 4T alone, by eliminating every 4T row over
+    the whole ambient space (no isolated-chord filter, no A[theta])."""
+    index = {d: i for i, d in enumerate(chord_diagrams(degree))}
+    elim = SparseEliminator()
+    for rel in four_t_relations(degree).relations:
+        elim.add_row({index[d]: c for d, c in rel.terms.items()})
+    elim.back_substitute()
+    return index, elim
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_framed_dimension_matches_elimination(degree):
+    index, elim = _framed_oracle(degree)
+    assert dimension(degree, False) == len(index) - elim.rank
+    # the classes of the chord diagrams span a space of that dimension
+    space = quotient_space(degree, False)
+    cols: dict = {}
+    spanned = SparseEliminator()
+    for d in index:
+        spanned.add_row({cols.setdefault(key, len(cols)): x
+                         for key, x in space.residual(d).items()})
+    assert spanned.rank == dimension(degree, False)
+
+
+def test_framed_is_zero_matches_elimination():
+    rng = random.Random(61)
+    zeros = nonzeros = 0
+    for degree in range(6):
+        index, elim = _framed_oracle(degree)
+        ambient = list(index)
+        rels = four_t_relations(degree).relations
+        space = quotient_space(degree, False)
+        for _ in range(80):
+            v = DiagramSum()
+            for _ in range(rng.randint(0, 3) if rels else 0):
+                v = v + rng.choice(rels) * rng.randint(-3, 3)
+            if not v or rng.random() < 0.5:
+                for _ in range(rng.randint(1, 2)):
+                    v = v + DiagramSum([(rng.choice(ambient),
+                                         rng.randint(-2, 2))])
+            expected = not elim.reduce(
+                {index[d]: c for d, c in v.terms.items()})
+            assert space.is_zero(v) == expected, (degree, v)
+            zeros += expected
+            nonzeros += not expected
+    assert zeros >= 100 and nonzeros >= 100
+
+
+def test_framed_class_shifts_under_theta():
+    theta = chord_diagram([(0, 1)])
+    rng = random.Random(62)
+    for _ in range(30):
+        degree = rng.randint(0, 4)
+        d = rng.choice(chord_diagrams(degree))
+        before = quotient_space(degree, False).residual(d)
+        after = quotient_space(degree + 1, False).residual(product(theta, d))
+        assert after == {(k + 1, c): x for (k, c), x in before.items()}
+
+
+def test_framed_quotient_eliminates_no_rows(monkeypatch):
+    for degree in range(5):
+        quotient_space(degree, True)
+    monkeypatch.setattr(relations, "_QUOTIENT_CACHE", {
+        key: q for key, q in relations._QUOTIENT_CACHE.items() if key[1]})
+    calls = []
+    add_row = SparseEliminator.add_row
+
+    def counting(self, row):
+        calls.append(row)
+        return add_row(self, row)
+
+    monkeypatch.setattr(SparseEliminator, "add_row", counting)
+    space = quotient_space(4, False)
+    assert space.dimension == 6
+    assert all(space.is_zero(rel) for rel in four_t_relations(4).relations)
+    assert calls == []
