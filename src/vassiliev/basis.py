@@ -124,27 +124,26 @@ def _code_version() -> str:
     return h.hexdigest()[:16]
 
 
-def _connected_multisets(counts: dict[int, int], total: int) -> list[tuple]:
-    """Multisets of (degree, index) pairs, >= 2 entries, degrees summing
-    to `total`; counts[d] = number of connected elements at degree d."""
-    items = [(d, i) for d in sorted(counts) for i in range(counts[d])]
-    out: list[tuple] = []
+def multisets_up_to(labels, max_degree: int) -> list[tuple]:
+    """All multisets of (degree, index) labels with total degree <=
+    max_degree, the empty one included, sorted by (degree, multiset).
+
+    `labels` must be sorted; each multiset is a sorted tuple.
+    """
+    out = [()]
 
     def rec(start: int, remaining: int, chosen: list):
-        if remaining == 0:
-            if len(chosen) >= 2:
-                out.append(tuple(chosen))
-            return
-        for k in range(start, len(items)):
-            deg = items[k][0]
+        for k in range(start, len(labels)):
+            deg = labels[k][0]
             if deg > remaining:
-                break
-            chosen.append(items[k])
+                continue
+            chosen.append(labels[k])
+            out.append(tuple(chosen))
             rec(k, remaining - deg, chosen)
             chosen.pop()
 
-    rec(0, total, [])
-    return sorted(out)
+    rec(0, max_degree, [])
+    return sorted(out, key=lambda m: (sum(label[0] for label in m), m))
 
 
 def canonical_basis(max_degree: int) -> CanonicalBasis:
@@ -159,7 +158,7 @@ def canonical_basis(max_degree: int) -> CanonicalBasis:
         raise ValueError("max_degree must be nonnegative")
     by_degree: dict[int, list[BasisElement]] = {}
     residuals: dict[tuple[int, int], dict[int, Fraction]] = {}
-    connected_counts: dict[int, int] = {}
+    # connected labels (degree, index) in ascending order -> diagram
     connected_diagram_of: dict[tuple[int, int], Diagram] = {}
 
     for i in range(max_degree + 1):
@@ -169,14 +168,16 @@ def canonical_basis(max_degree: int) -> CanonicalBasis:
             continue
         if i == 1:
             by_degree[1] = []  # no framing-independent structures
-            connected_counts[1] = 0
             continue
         space = quotient_space(i, True)
         target = space.dimension
         elim = SparseEliminator()
 
         composites = []
-        for multiset in _connected_multisets(connected_counts, i):
+        for multiset in multisets_up_to(list(connected_diagram_of), i):
+            if len(multiset) < 2 or \
+                    sum(label[0] for label in multiset) != i:
+                continue
             diag = canonicalize(product_all(
                 connected_diagram_of[key] for key in multiset)).diagram
             res = space.residual(diag)
@@ -216,7 +217,6 @@ def canonical_basis(max_degree: int) -> CanonicalBasis:
             elements.append(BasisElement(i, idx, diag, multiset))
             residuals[(i, idx)] = res
         by_degree[i] = elements
-        connected_counts[i] = quota
 
     body = _serialize_body(max_degree, by_degree)
     version = hashlib.sha256(

@@ -169,16 +169,19 @@ def cmd_basis(args) -> int:
 
 def cmd_weight(args) -> int:
     cfg = _config(args, "weight")
+    if bool(args.diagram) == bool(args.diagram_file):
+        raise ValueError("specify one of --diagram, --diagram-file")
     if args.diagram:
         text = args.diagram
-    elif args.diagram_file:
+    else:
         with open(args.diagram_file) as fh:
-            lines = fh.read().strip().splitlines()
+            lines = [line for line in fh.read().splitlines() if line.strip()]
         if not lines:
             raise ValueError(f"{args.diagram_file}: no diagram in the file")
+        if len(lines) > 1:
+            raise ValueError(f"{args.diagram_file}: {len(lines)} diagram "
+                             "lines; the file must hold one diagram")
         text = lines[0]
-    else:
-        raise ValueError("specify one of --diagram, --diagram-file")
     d = parse_diagram(text)
     from .weights import weight_sun_deframed, weight_sun_deframed_at
 
@@ -338,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("weight", help="su(N) weight of a diagram")
     common(w)
     w.add_argument("--diagram", help="inline diagram text (L=.. T=.. edges)")
-    w.add_argument("--diagram-file", help="file with one diagram per line")
+    w.add_argument("--diagram-file", help="file holding one diagram")
     w.add_argument("--rank", type=int, default=None,
                    help="evaluate at a concrete rank N")
     w.add_argument("--deframed", action="store_true",

@@ -24,7 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .basis import BasisChangeReport, CanonicalBasis, transform_alphas
+from .basis import (
+    BasisChangeReport,
+    CanonicalBasis,
+    multisets_up_to,
+    transform_alphas,
+)
 from .diagrams import canonicalize, chord_diagram
 from .formal import MultiPoly, symbol
 from .knots import PlanarDiagram, homfly, sun_slice
@@ -117,25 +122,6 @@ def _connected_labels(basis: CanonicalBasis, max_degree: int,
     return labels
 
 
-def _multisets_up_to(labels, max_degree: int) -> list[tuple]:
-    """All multisets of connected labels with total degree <= max_degree,
-    including the empty multiset."""
-    out = [()]
-
-    def rec(start: int, remaining: int, chosen: list):
-        for k in range(start, len(labels)):
-            deg = labels[k][0]
-            if deg > remaining:
-                continue
-            chosen.append(labels[k])
-            out.append(tuple(chosen))
-            rec(k, remaining - deg, chosen)
-            chosen.pop()
-
-    rec(0, max_degree, [])
-    return sorted(set(out), key=lambda m: (sum(l[0] for l in m), m))
-
-
 def _multiset_degree(m: tuple) -> int:
     return sum(label[0] for label in m)
 
@@ -214,7 +200,7 @@ def derive_composite_identities(basis: CanonicalBasis,
     if K > basis.max_degree:
         raise ValueError("max_degree exceeds the basis")
     labels = _connected_labels(basis, K, framing)
-    multisets = _multisets_up_to(labels, K)
+    multisets = multisets_up_to(labels, K)
     normal = _normal_forms(multisets)
 
     # formal component weights, labelled by basis coordinates
@@ -364,7 +350,7 @@ def resum_family(basis: CanonicalBasis, base: tuple,
         for m in members:
             if tuple(sorted(m)) not in present and m:
                 raise ValueError(f"family member {m} missing from the basis")
-    multisets = _multisets_up_to(labels, order)
+    multisets = multisets_up_to(labels, order)
     normal = _normal_forms(multisets)
 
     zero, one = MultiPoly.zero(), MultiPoly.one()

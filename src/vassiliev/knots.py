@@ -7,16 +7,20 @@ knot, so the under-strand runs a -> c and the crossing is positive when
 the over-strand runs d -> b (i.e. b follows d).
 
 Invariants:
-  * kauffman_bracket / jones -- full state sum over the 2^n smoothings,
-    writhe-corrected and normalized to 1 on the unknot;
+  * kauffman_bracket / jones -- state sum over the 2^n smoothings,
+    counted into a (B-smoothings, loops) histogram with one Laurent
+    term per class, writhe-corrected and normalized to 1 on the unknot;
+    at most BRACKET_CROSSING_BUDGET crossings;
   * homfly -- skein recursion (a P+ - a^{-1} P- = z P0, unknot = 1)
     toward descending diagrams, memoized on a canonical diagram code;
+    at most HOMFLY_CROSSING_BUDGET crossings;
   * sun_slice -- the su(N) one-variable specialization a = q^N,
     z = q - q^{-1}; at N = 2 it recovers jones with t = q^2.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,10 +28,11 @@ from .laurent import Laurent1, Laurent2
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when a skein computation exceeds the crossing budget."""
+    """Raised when a diagram exceeds the crossing budget of an invariant."""
 
 
 HOMFLY_CROSSING_BUDGET = 10
+BRACKET_CROSSING_BUDGET = 16
 
 
 # --------------------------------------------------------------------------
@@ -173,51 +178,44 @@ class BraidWord:
 # Kauffman bracket and Jones
 
 
-def _bracket_loops(pd: PlanarDiagram, state: int) -> int:
-    """Loop count for one smoothing state (bit k = B-smoothing at k)."""
-    n = len(pd.crossings)
-    parent = list(range(4 * n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    ends: dict[int, list[int]] = {}
-    for k, c in enumerate(pd.crossings):
-        for p, arc in enumerate(c):
-            ends.setdefault(arc, []).append(4 * k + p)
-        if (state >> k) & 1:  # B: join corners (0,3) and (1,2)
-            union(4 * k, 4 * k + 3)
-            union(4 * k + 1, 4 * k + 2)
-        else:  # A: join corners (0,1) and (2,3)
-            union(4 * k, 4 * k + 1)
-            union(4 * k + 2, 4 * k + 3)
-    for pair in ends.values():
-        union(pair[0], pair[1])
-    return len({find(x) for x in range(4 * n)})
-
-
 def kauffman_bracket(pd: PlanarDiagram) -> Laurent1:
-    """Normalized bracket: state sum with <unknot> = 1 (variable A)."""
+    """Normalized bracket: state sum with <unknot> = 1 (variable A).
+
+    A state's term A^(n - 2b) delta^(loops - 1) depends only on its number
+    b of B-smoothings and its loop count, so the 2^n states are counted
+    into a {(b, loops): count} histogram and each class adds one term.
+    """
     n = len(pd.crossings)
-    if n == 0:
+    if n > BRACKET_CROSSING_BUDGET:
+        raise BudgetExceededError(
+            f"{n} crossings exceed the bracket budget of "
+            f"{BRACKET_CROSSING_BUDGET}")
+    # corner 4k + p is port p of crossing k; arc[c] is the other end of
+    # the arc at corner c
+    arc = [0] * (4 * n)
+    for (k, p), (k2, p2) in _OrientedState.from_planar(pd).wiring.items():
+        arc[4 * k + p] = 4 * k2 + p2
+    classes: dict[tuple[int, int], int] = {}
+    for state in range(1 << n):
+        # along the arc, then across the smoothing at its far corner:
+        # A joins corners p, p^1 and B (state bit set) joins p, 3-p = p^3
+        step = [c ^ (3 if state >> (c >> 2) & 1 else 1) for c in arc]
+        seen = [False] * (4 * n)
         loops = pd.loops
-        delta = Laurent1({2: -1, -2: -1}, var="A")
-        return delta ** (loops - 1)
+        for start in range(4 * n):
+            if not seen[start]:
+                loops += 1
+                c = start
+                while not seen[c]:
+                    seen[c] = seen[arc[c]] = True
+                    c = step[c]
+        key = (state.bit_count(), loops)
+        classes[key] = classes.get(key, 0) + 1
     delta = Laurent1({2: -1, -2: -1}, var="A")
     total = Laurent1.zero(var="A")
-    for state in range(1 << n):
-        b_count = bin(state).count("1")
-        loops = _bracket_loops(pd, state) + pd.loops
-        term = Laurent1.term(1, n - 2 * b_count, var="A") * (delta ** (loops - 1))
-        total = total + term
+    for (b, loops), count in classes.items():
+        total = total + Laurent1.term(count, n - 2 * b, var="A") * \
+            delta ** (loops - 1)
     return total
 
 
@@ -244,10 +242,6 @@ def jones(pd: PlanarDiagram) -> Laurent1:
 
 def _over_in(sign: int) -> int:
     return 3 if sign > 0 else 1
-
-
-def _diag_exit(port: int) -> int:
-    return {0: 2, 2: 0, 1: 3, 3: 1}[port]
 
 
 class _OrientedState:
@@ -300,7 +294,7 @@ class _OrientedState:
                 dst = self.wiring[cur]
                 comp.append(dst)
                 k, p = dst
-                nxt = (k, _diag_exit(p))
+                nxt = (k, p ^ 2)
                 if nxt == start:
                     break
                 cur = nxt
@@ -418,7 +412,7 @@ class _OrientedState:
                 tokens.append(("n", self.signs[k], p))
             else:
                 tokens.append(("o", disc[k], p))
-            cur = (k, _diag_exit(p))
+            cur = (k, p ^ 2)
             if cur == start:
                 return
 
@@ -588,15 +582,13 @@ def determinant(pd: PlanarDiagram) -> int:
 
 def _splice_pseudo(edges):
     """Resolve pseudo nodes: wiring between real ports + free loop count."""
-    from collections import defaultdict
-
     adj = defaultdict(list)
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
     wiring = {}
     seen_real = set()
-    for tok in sorted(adj, key=repr):
+    for tok in adj:
         if tok[0] == "p" or tok in seen_real:
             continue
         prev, cur = tok, adj[tok][0]
@@ -644,8 +636,7 @@ def _orient_unoriented(under_diag: dict, wiring: dict, loops: int) -> PlanarDiag
             if (k, diag) in entry:
                 raise ValueError("inconsistent strand orientation")
             entry[(k, diag)] = p
-            exit_port = _diag_exit(p)
-            cur = (k, exit_port)
+            cur = (k, p ^ 2)
             dst = wiring[cur]
             if frozenset((cur, dst)) in visited:
                 break
@@ -746,8 +737,9 @@ def braid_closure(word: BraidWord) -> PlanarDiagram:
     signs: dict[int, int] = {}
     edges: list = []
     # pending[j]: dangling out-endpoint of strand column j (0-based);
-    # ("top", j) stands for the eventual closure of column j
-    pending: list = [("top", j) for j in range(word.strands)]
+    # the pseudo node ("p", j) closes column j, so an untouched column
+    # becomes a pseudo self-loop, which splices into a free loop
+    pending: list = [("p", j) for j in range(word.strands)]
     for k, letter in enumerate(word.letters):
         i = abs(letter) - 1
         sign = 1 if letter > 0 else -1
@@ -761,26 +753,8 @@ def braid_closure(word: BraidWord) -> PlanarDiagram:
         edges.append((pending[i], in_left))
         edges.append((pending[i + 1], in_right))
         pending[i], pending[i + 1] = out_left, out_right
-    loops = 0
     for j in range(word.strands):
-        if pending[j] == ("top", j):
-            loops += 1  # untouched strand closes into a free loop
-        else:
-            edges.append((pending[j], ("top", j)))
-    # splice out the pseudo-nodes: each sits between two real ports
-    wiring: dict = {}
-    through: dict = {}
-    for a, b in edges:
-        if a[0] == "top":
-            through.setdefault(a, []).append(b)
-        elif b[0] == "top":
-            through.setdefault(b, []).append(a)
-        else:
-            wiring[a] = b
-            wiring[b] = a
-    for ends in through.values():
-        x, y = ends
-        wiring[x] = y
-        wiring[y] = x
+        edges.append((pending[j], ("p", j)))
+    wiring, loops = _splice_pseudo(edges)
     state = _OrientedState(signs, wiring, loops)
     return state.to_planar()

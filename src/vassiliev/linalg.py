@@ -29,6 +29,21 @@ def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
+def _cancel(row: dict[int, int], piv: dict[int, int],
+            col: int) -> dict[int, int]:
+    """piv[col]*row - row[col]*piv, gcd-normalized: an integer row with
+    no entry in column `col`."""
+    a, b = piv[col], row[col]
+    new = {c: a * v for c, v in row.items()}
+    for c, v in piv.items():
+        w = new.get(c, 0) - b * v
+        if w:
+            new[c] = w
+        elif c in new:
+            del new[c]
+    return _normalize_int_row(new)
+
+
 class SparseEliminator:
     """Incremental exact row reduction of sparse integer rows.
 
@@ -67,18 +82,7 @@ class SparseEliminator:
             piv = self.pivots.get(lead)
             if piv is None:
                 return row
-            # row <- piv[lead]*row - row[lead]*piv  (stays integer)
-            a, b = piv[lead], row[lead]
-            new: dict[int, int] = {}
-            for c, v in row.items():
-                new[c] = a * v
-            for c, v in piv.items():
-                w = new.get(c, 0) - b * v
-                if w:
-                    new[c] = w
-                elif c in new:
-                    del new[c]
-            row = _normalize_int_row(new)
+            row = _cancel(row, piv, lead)
         return row
 
     def reduce(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -103,9 +107,6 @@ class SparseEliminator:
                 elif c in vec:
                     del vec[c]
 
-    def contains(self, vec: dict[int, Fraction]) -> bool:
-        return not self.reduce(vec)
-
     def back_substitute(self) -> None:
         """Fully reduce pivot rows against each other (RREF form)."""
         cols = sorted(self.pivots)
@@ -115,15 +116,7 @@ class SparseEliminator:
             for col2 in cols[:k]:
                 row = self.pivots[col2]
                 if col in row:
-                    a, b = piv[col], row[col]
-                    new = {c: a * v for c, v in row.items()}
-                    for c, v in piv.items():
-                        w = new.get(c, 0) - b * v
-                        if w:
-                            new[c] = w
-                        elif c in new:
-                            del new[c]
-                    self.pivots[col2] = _normalize_int_row(new)
+                    self.pivots[col2] = _cancel(row, piv, col)
 
 
 def rref(matrix: list[list], ncols: int | None = None

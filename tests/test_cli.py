@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 from vassiliev.cli import main
+from vassiliev.knots import BRACKET_CROSSING_BUDGET
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +76,20 @@ def test_weight_hostile_input_exit_2(tmp_path, capsys):
     empty.write_text("")
     code, out, err = run_cli(capsys, "weight", "--diagram-file", str(empty))
     assert code == 2 and not out and "no diagram" in err
+    # both sources given: the file would be ignored
+    code, out, err = run_cli(capsys, "weight", "--diagram", "L=2 T=0 1-2",
+                             "--diagram-file", str(empty))
+    assert code == 2 and not out
+    assert "specify one of --diagram, --diagram-file" in err
+    # a second diagram line would be ignored
+    two = tmp_path / "two.txt"
+    two.write_text("L=2 T=0 1-2\nL=4 T=0 1-3 2-4\n")
+    code, out, err = run_cli(capsys, "weight", "--diagram-file", str(two))
+    assert code == 2 and not out and "one diagram" in err
+    one = tmp_path / "one.txt"
+    one.write_text("L=2 T=0 1-2\n")
+    code, out, _ = run_cli(capsys, "weight", "--diagram-file", str(one))
+    assert code == 0 and "1/2*N - 1/2*N^-1" in out
     for rank in ("0", "1", "-3"):
         code, out, err = run_cli(capsys, "weight", "--diagram", "L=2 T=0 1-2",
                                  "--rank", rank)
@@ -146,6 +161,9 @@ def test_budget_exit_3(capsys):
     code, _, err = run_cli(capsys, "homfly", "--braid",
                            "2:" + ",".join(["1"] * 13))
     assert code == 3 and "budget" in err
+    code, out, err = run_cli(capsys, "jones", "--braid", "2:" + ",".join(
+        ["1"] * (BRACKET_CROSSING_BUDGET + 1)))
+    assert code == 3 and not out and "budget" in err
 
 
 def test_byte_identical_reports():

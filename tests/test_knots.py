@@ -1,6 +1,9 @@
 import pytest
 
+import random
+
 from vassiliev.knots import (
+    BRACKET_CROSSING_BUDGET,
     BraidWord,
     BudgetExceededError,
     PlanarDiagram,
@@ -209,8 +212,6 @@ def _is_knot_braid(strands, word):
 
 
 def test_random_braid_knots_slice_oracle():
-    import random
-
     rng = random.Random(99)
     checked = 0
     while checked < 40:
@@ -230,8 +231,6 @@ def test_random_braid_knots_slice_oracle():
 def test_homfly_memo_matches_fresh():
     # the skein memo is keyed on canonical_code; a key that merged two
     # different states would make shared-memo values differ from fresh ones
-    import random
-
     from vassiliev.knots import _HOMFLY_MEMO
 
     rng = random.Random(61)
@@ -273,3 +272,90 @@ def test_homfly_z_exponents_even_nonnegative():
     for name in ("3_1", "4_1", "6_1", "8_19"):
         h = homfly(knot(name))
         assert all(z >= 0 and z % 2 == 0 for (_, z) in h.coeffs), name
+
+
+def _construct(construction: str) -> PlanarDiagram:
+    """Rebuild a table entry from its recorded construction."""
+    kind, _, arg = construction.partition(" ")
+    if kind == "unknot":
+        return PlanarDiagram([])
+    if kind == "rational":
+        return rational_knot(int(x) for x in arg.split(","))
+    if kind == "braid":
+        strands, word = arg.split(":")
+        return braid_closure(
+            BraidWord(int(strands), [int(x) for x in word.split(",")]))
+    a, b = construction.split(" # ")
+    return connected_sum(knot(a), knot(b))
+
+
+def test_table_regenerates_from_constructions():
+    # pins rational_knot, braid_closure, connected_sum and to_planar
+    for name, rec in table().items():
+        built = _construct(rec.construction)
+        assert pd_to_text(built) == pd_to_text(rec.diagram), name
+        assert built.signs() == rec.diagram.signs(), name
+
+
+def _reference_bracket(pd: PlanarDiagram) -> Laurent1:
+    """The bracket as a plain state sum: one union-find over the corners
+    and one Laurent term per state."""
+    n = len(pd.crossings)
+    delta = Laurent1({2: -1, -2: -1}, var="A")
+    total = Laurent1.zero(var="A")
+    for state in range(1 << n):
+        parent = list(range(4 * n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        def union(x, y):
+            parent[find(x)] = find(y)
+
+        ends: dict[int, list[int]] = {}
+        for k, c in enumerate(pd.crossings):
+            for p, arc in enumerate(c):
+                ends.setdefault(arc, []).append(4 * k + p)
+            if (state >> k) & 1:  # B: join corners (0,3) and (1,2)
+                union(4 * k, 4 * k + 3)
+                union(4 * k + 1, 4 * k + 2)
+            else:  # A: join corners (0,1) and (2,3)
+                union(4 * k, 4 * k + 1)
+                union(4 * k + 2, 4 * k + 3)
+        for x, y in ends.values():
+            union(x, y)
+        loops = len({find(x) for x in range(4 * n)}) + pd.loops
+        b = bin(state).count("1")
+        total = total + Laurent1.term(1, n - 2 * b, var="A") * \
+            delta ** (loops - 1)
+    return total
+
+
+def _bracket_reference_cases():
+    for name in knot_names():
+        yield name, knot(name)
+        yield name + "!", knot(name).mirror()
+    rng = random.Random(2718)
+    for _ in range(200):
+        strands = rng.randint(1, 6)
+        word = [] if strands == 1 else [
+            rng.choice((1, -1)) * rng.randint(1, strands - 1)
+            for _ in range(rng.randint(0, 9))]
+        yield (strands, word), braid_closure(BraidWord(strands, word))
+    for crossings in ([(1, 1, 2, 2)], [(1, 2, 2, 1)]):
+        yield crossings, PlanarDiagram(crossings)
+    for k in (1, 2, 3):
+        yield ("loops", k), PlanarDiagram([], k)
+
+
+def test_bracket_matches_reference_state_sum():
+    for label, pd in _bracket_reference_cases():
+        assert kauffman_bracket(pd) == _reference_bracket(pd), label
+
+
+def test_bracket_budget():
+    word = BraidWord(2, [1] * (BRACKET_CROSSING_BUDGET + 1))
+    with pytest.raises(BudgetExceededError, match="budget"):
+        jones(braid_closure(word))
