@@ -111,15 +111,15 @@ def _resolve_knot(args) -> PlanarDiagram:
         return knot(args.knot)
     if args.pd:
         return parse_pd(args.pd)
-    text = args.braid
-    if ":" in text:
-        strands, word = text.split(":", 1)
-        strands = int(strands)
-    else:
-        word = text
-        letters = [int(x) for x in word.replace(",", " ").split()]
-        strands = max(abs(x) for x in letters) + 1
+    head, colon, word = args.braid.rpartition(":")
     letters = [int(x) for x in word.replace(",", " ").split()]
+    if colon:
+        strands = int(head)
+    elif letters:
+        strands = max(abs(x) for x in letters) + 1
+    else:
+        raise ValueError("empty braid word: give the strand count as "
+                         "'k:', e.g. '2:' for the 2-component unlink")
     return braid_closure(BraidWord(strands, letters))
 
 
@@ -310,6 +310,13 @@ def cmd_identities(args) -> int:
     return 0
 
 
+def _degree(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a nonnegative integer")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vassiliev",
@@ -317,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, probes=False, knots=False):
-        p.add_argument("--max-degree", type=int, default=4)
+        p.add_argument("--max-degree", type=_degree, default=4)
         p.add_argument("--reduced", dest="reduced", action="store_true",
                        default=True)
         p.add_argument("--unreduced", dest="reduced", action="store_false")

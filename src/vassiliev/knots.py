@@ -6,6 +6,11 @@ under-strand arc; arcs are numbered sequentially along the oriented
 knot, so the under-strand runs a -> c and the crossing is positive when
 the over-strand runs d -> b (i.e. b follows d).
 
+Braid closures, rational tangles and the skein's oriented smoothing
+rewire ports the same way: they join real ports and pseudo nodes into
+an edge list, and one pseudo-node splice (_splice_pseudo) turns it into
+a port wiring plus a count of free loops.
+
 Invariants:
   * kauffman_bracket / jones -- state sum over the 2^n smoothings,
     counted into a (B-smoothings, loops) histogram with one Laurent
@@ -69,7 +74,12 @@ class PlanarDiagram:
             expected = set(range(1, 2 * n + 1))
             if set(counts) != expected or any(v != 2 for v in counts.values()):
                 raise ValueError("arcs must be 1..2n, each appearing twice")
-        self.signs()  # force sign determination (fails on malformed input)
+        # each arc must be an in-port (0 and the over-in) exactly once
+        ins = {c[p] for c, s in zip(self.crossings, self.signs())
+               for p in (0, _over_in(s))}
+        if len(ins) != 2 * n:
+            arc = min(set(counts) - ins)
+            raise ValueError(f"arc {arc} leaves two crossings and enters none")
 
     @property
     def n_crossings(self) -> int:
@@ -332,54 +342,26 @@ class _OrientedState:
     def smoothed(self, k: int) -> "_OrientedState":
         """Oriented smoothing of crossing k (the P0 term).
 
-        The four ports are rejoined pairwise; strands thread through the
-        junctions and any arcs of the diagram that connect two ports of
-        k itself (curls), so external arc ends pair up correctly and
-        fully internal circuits become free loops.
+        The ports of k become pseudo nodes, joined pairwise across the
+        smoothing and each to the far end of its arc (a pseudo node again
+        for a curl); the pseudo-node splice rewires the diagram and counts
+        the circuits closed inside k as free loops.
         """
-        sign = self.signs[k]
-        junction = {0: 1, 1: 0, 2: 3, 3: 2} if sign > 0 else \
-                   {0: 3, 3: 0, 1: 2, 2: 1}
-        signs = {c: s for c, s in self.signs.items() if c != k}
-        wiring = {a: b for a, b in self.wiring.items()
-                  if a[0] != k and b[0] != k}
-        loops = self.loops
-        external = {}
-        internal = {}
+        pairs = ((0, 1), (2, 3)) if self.signs[k] > 0 else ((0, 3), (1, 2))
+        edges = [(("p", a), ("p", b)) for a, b in pairs]
         for p in range(4):
             far = self.wiring[(k, p)]
-            if far[0] == k:
-                internal[p] = far[1]
-            else:
-                external[p] = far
-        visited = set()
-        for p in sorted(external):
-            if p in visited:
-                continue
-            visited.add(p)
-            q = junction[p]
-            visited.add(q)
-            while q in internal:
-                q = internal[q]
-                visited.add(q)
-                q = junction[q]
-                visited.add(q)
-            a, b = external[p], external[q]
-            wiring[a] = b
-            wiring[b] = a
-        remaining = set(range(4)) - visited
-        while remaining:
-            start = remaining.pop()
-            q = start
-            while True:
-                q = junction[q]
-                remaining.discard(q)
-                q = internal[q]
-                remaining.discard(q)
-                if q == start:
-                    break
-            loops += 1
-        return _OrientedState(signs, wiring, loops)
+            if far[0] != k:
+                edges.append((("p", p), far))
+            elif p < far[1]:
+                edges.append((("p", p), ("p", far[1])))
+        signs = {c: s for c, s in self.signs.items() if c != k}
+        wiring = dict(self.wiring)
+        for p in range(4):
+            del wiring[(k, p)]
+        spliced, loops = _splice_pseudo(edges)
+        wiring.update(spliced)  # rewires every far end of an arc at k
+        return _OrientedState(signs, wiring, self.loops + loops)
 
     def canonical_code(self) -> tuple:
         """Label-independent code: minimum over walk starting points."""
@@ -448,12 +430,9 @@ class _OrientedState:
         arcs: dict[tuple[int, int], int] = {}  # in-port -> arc label
         label = 0
         for comp in self._walk_components():
-            first = None
             for (k, p) in comp:
                 label += 1
                 arcs[(k, p)] = label
-                if first is None:
-                    first = (k, p)
         crossings = []
         signs = []
         for k in sorted(self.signs):
@@ -529,11 +508,16 @@ def sun_slice(h: Laurent2, n: int) -> Laurent1:
 
 
 def connected_sum(k1: PlanarDiagram, k2: PlanarDiagram) -> PlanarDiagram:
-    """Splice two knot diagrams along one arc of each."""
-    if k1.n_crossings == 0:
-        return k2
-    if k2.n_crossings == 0:
-        return k1
+    """Splice two knot diagrams along one arc of each.
+
+    Free loops of both operands are kept; a crossingless operand with L
+    loops is an unknot summand plus L - 1 free loops.
+    """
+    if not k1.crossings:
+        k1, k2 = k2, k1
+    if not k2.crossings:
+        return PlanarDiagram(k1.crossings, k1.loops + k2.loops - 1,
+                             k1.signs())
     s1 = _OrientedState.from_planar(k1)
     s2 = _OrientedState.from_planar(k2)
     off = max(s1.signs) + 1
@@ -543,25 +527,14 @@ def connected_sum(k1: PlanarDiagram, k2: PlanarDiagram) -> PlanarDiagram:
         signs[k + off] = s
     for (ka, pa), (kb, pb) in s2.wiring.items():
         wiring[(ka + off, pa)] = (kb + off, pb)
-    # cut arc 1 of each knot (out-port -> in-port) and cross-join
-    def arc_ends(state, offset):
-        for comp in state._walk_components():
-            k, p = comp[0]
-            dst = (k + offset, p)
-            # the out-port wired to this in-port:
-            src = state.wiring[(k, p)]
-            return (src[0] + offset, src[1]), dst
-        raise ValueError("knot has no arcs")
-
-    out1, in1 = arc_ends(s1, 0)
-    out2, in2 = arc_ends(s2, off)
-    wiring[out1] = in2
-    wiring[in2] = out1
-    wiring[out2] = in1
-    wiring[in1] = out2
-    merged = _OrientedState(signs, wiring, k1.loops + k2.loops - 2
-                            if k1.loops and k2.loops else k1.loops + k2.loops)
-    return merged.to_planar()
+    # cut the arc leaving the first out-port of each knot and cross-join
+    out1 = s1.out_ports()[0]
+    k, p = s2.out_ports()[0]
+    out2 = (k + off, p)
+    in1, in2 = wiring[out1], wiring[out2]
+    wiring[out1], wiring[in2] = in2, out1
+    wiring[out2], wiring[in1] = in1, out2
+    return _OrientedState(signs, wiring, k1.loops + k2.loops).to_planar()
 
 
 # --------------------------------------------------------------------------
@@ -581,41 +554,36 @@ def determinant(pd: PlanarDiagram) -> int:
 
 
 def _splice_pseudo(edges):
-    """Resolve pseudo nodes: wiring between real ports + free loop count."""
+    """Resolve the pseudo nodes ("p", i), each of degree two, out of an
+    edge list: a chain of them between two real ports becomes one wire,
+    and a cycle of them alone is one free loop.  Returns (wiring, loops).
+    """
     adj = defaultdict(list)
     for a, b in edges:
         adj[a].append(b)
         adj[b].append(a)
-    wiring = {}
-    seen_real = set()
-    for tok in adj:
-        if tok[0] == "p" or tok in seen_real:
-            continue
-        prev, cur = tok, adj[tok][0]
-        while cur[0] == "p":
+    seen = set()  # pseudo nodes walked so far
+
+    def walk(prev, cur):
+        # step through pseudo nodes until a real port or a walked node
+        while cur[0] == "p" and cur not in seen:
+            seen.add(cur)
             a, b = adj[cur]
             prev, cur = cur, (b if a == prev else a)
-        wiring[tok] = cur
-        wiring[cur] = tok
-        seen_real.add(tok)
-        seen_real.add(cur)
-    # pure pseudo cycles are free unknot components
-    loops = 0
-    visited = set()
+        return cur
+
+    wiring = {}
     for tok in adj:
-        if tok[0] != "p" or tok in visited:
-            continue
-        stack = [tok]
-        comp = set()
-        while stack:
-            x = stack.pop()
-            if x in comp:
-                continue
-            comp.add(x)
-            stack.extend(y for y in adj[x] if y[0] == "p")
-        if all(y[0] == "p" for x in comp for y in adj[x]):
+        if tok[0] != "p" and tok not in wiring:
+            end = walk(tok, adj[tok][0])
+            wiring[tok] = end
+            wiring[end] = tok
+    # every pseudo node not walked yet lies on a pure pseudo cycle
+    loops = 0
+    for tok in adj:
+        if tok[0] == "p" and tok not in seen:
             loops += 1
-        visited |= comp
+            walk(None, tok)
     return wiring, loops
 
 

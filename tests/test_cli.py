@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from vassiliev.cli import main
 from vassiliev.knots import BRACKET_CROSSING_BUDGET
 
@@ -155,6 +157,28 @@ def test_usage_error_exit_2(capsys):
     assert code == 2 and "unknown knot" in err
     code, _, _ = run_cli(capsys, "jones", "--knot", "3_1", "--pd", "X(1,2,3,4)")
     assert code == 2
+
+
+def test_pd_arc_joining_two_out_ports_exit_2(capsys):
+    code, out, err = run_cli(capsys, "homfly", "--pd", "X(1,4,2,3) X(3,2,4,1)")
+    assert code == 2 and not out and "arc 2" in err
+
+
+def test_negative_max_degree_exit_2(capsys):
+    for command in ("dims", "basis", "identities"):
+        for extra in ((), ("--unreduced",)):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--max-degree", "-1", *extra])
+            assert exc.value.code == 2, (command, extra)
+            out, err = capsys.readouterr()
+            assert not out and "not a nonnegative integer" in err
+
+
+def test_empty_braid_word(capsys):
+    code, out, err = run_cli(capsys, "homfly", "--braid", ",")
+    assert code == 2 and not out and "strand count" in err
+    code, out, _ = run_cli(capsys, "homfly", "--braid", "2:")
+    assert code == 0 and "homfly: -a*z^-1 + a^-1*z^-1" in out
 
 
 def test_budget_exit_3(capsys):

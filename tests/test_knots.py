@@ -4,6 +4,8 @@ import random
 
 from vassiliev.knots import (
     BRACKET_CROSSING_BUDGET,
+    _OrientedState,
+    _splice_pseudo,
     BraidWord,
     BudgetExceededError,
     PlanarDiagram,
@@ -40,6 +42,9 @@ def test_pd_validation():
         PlanarDiagram([(2, 1, 4, 3), (1, 2, 3, 4)])
     with pytest.raises(ValueError):
         parse_pd("Y(1,2,3,4)")
+    with pytest.raises(ValueError, match="arc 2 leaves two crossings"):
+        # arc 2 is the under-out of crossing 1 and the over-out of crossing 2
+        parse_pd("X(1,4,2,3) X(3,2,4,1)")
 
 
 def test_pd_roundtrip():
@@ -130,6 +135,20 @@ def test_connected_sum_unknot_neutral():
     k = knot("5_2")
     assert homfly(connected_sum(k, UNKNOT)) == homfly(k)
     assert jones(connected_sum(UNKNOT, k)) == jones(k)
+
+
+def test_connected_sum_keeps_free_loops():
+    trefoil = knot("3_1")
+    with_loop = PlanarDiagram(trefoil.crossings, 1)  # trefoil and an unknot
+    assert connected_sum(with_loop, with_loop).loops == 2
+    assert connected_sum(PlanarDiagram([], 2), trefoil).loops == 1
+    assert connected_sum(trefoil, PlanarDiagram([], 3)).loops == 2
+    assert connected_sum(PlanarDiagram([], 2), PlanarDiagram([], 2)).loops == 3
+    operands = [with_loop, PlanarDiagram(knot("4_1").crossings, 2),
+                PlanarDiagram([], 2), UNKNOT, trefoil]
+    for a in operands:
+        for b in operands:
+            assert homfly(connected_sum(a, b)) == homfly(a) * homfly(b), (a, b)
 
 
 def test_connected_sum_crossings_add():
@@ -359,3 +378,105 @@ def test_bracket_budget():
     word = BraidWord(2, [1] * (BRACKET_CROSSING_BUDGET + 1))
     with pytest.raises(BudgetExceededError, match="budget"):
         jones(braid_closure(word))
+
+
+def _reference_smoothed(state: _OrientedState, k: int) -> _OrientedState:
+    """The oriented smoothing by its own port walk: strands thread through
+    the junctions of k and through the curls wiring k to itself."""
+    junction = {0: 1, 1: 0, 2: 3, 3: 2} if state.signs[k] > 0 else \
+               {0: 3, 3: 0, 1: 2, 2: 1}
+    signs = {c: s for c, s in state.signs.items() if c != k}
+    wiring = {a: b for a, b in state.wiring.items()
+              if a[0] != k and b[0] != k}
+    loops = state.loops
+    external = {}
+    internal = {}
+    for p in range(4):
+        far = state.wiring[(k, p)]
+        if far[0] == k:
+            internal[p] = far[1]
+        else:
+            external[p] = far
+    visited = set()
+    for p in sorted(external):
+        if p in visited:
+            continue
+        visited.add(p)
+        q = junction[p]
+        visited.add(q)
+        while q in internal:
+            q = internal[q]
+            visited.add(q)
+            q = junction[q]
+            visited.add(q)
+        a, b = external[p], external[q]
+        wiring[a] = b
+        wiring[b] = a
+    remaining = set(range(4)) - visited
+    while remaining:
+        start = remaining.pop()
+        q = start
+        while True:
+            q = junction[q]
+            remaining.discard(q)
+            q = internal[q]
+            remaining.discard(q)
+            if q == start:
+                break
+        loops += 1
+    return _OrientedState(signs, wiring, loops)
+
+
+def _smoothing_reference_cases():
+    for name in knot_names():
+        yield name, knot(name)
+        yield name + "!", knot(name).mirror()
+    for crossings in ([(1, 1, 2, 2)], [(1, 2, 2, 1)]):
+        yield crossings, PlanarDiagram(crossings)
+    rng = random.Random(1414)
+    for _ in range(200):
+        strands = rng.randint(1, 5)
+        word = [] if strands == 1 else [
+            rng.choice((1, -1)) * rng.randint(1, strands - 1)
+            for _ in range(rng.randint(0, 9))]
+        yield (strands, word), braid_closure(BraidWord(strands, word))
+
+
+def test_smoothed_matches_reference_walk():
+    # every crossing, and every crossing of each smoothing, so that curls
+    # left by an earlier smoothing are resolved too
+    for label, pd in _smoothing_reference_cases():
+        states = [_OrientedState.from_planar(pd)]
+        for depth in range(2):
+            nxt = []
+            for state in states:
+                for k in state.signs:
+                    got = state.smoothed(k)
+                    want = _reference_smoothed(state, k)
+                    assert (got.signs, got.wiring, got.loops) == \
+                        (want.signs, want.wiring, want.loops), (label, k)
+                    nxt.append(got)
+            states = nxt
+
+
+def test_splice_pseudo_resolves_chains_and_cycles():
+    # a chain of three pseudo nodes between two real ports is one wire
+    chain = [((0, 2), ("p", 1)), (("p", 2), ("p", 1)), (("p", 2), ("p", 3)),
+             ((1, 0), ("p", 3))]
+    assert _splice_pseudo(chain) == ({(0, 2): (1, 0), (1, 0): (0, 2)}, 0)
+    # an untouched braid strand is a pseudo self-loop: one free loop
+    assert _splice_pseudo([(("p", 0), ("p", 0))]) == ({}, 1)
+    # a pure pseudo 3-cycle is one free loop, however many nodes it has
+    cycle = [(("p", 1), ("p", 2)), (("p", 2), ("p", 3)), (("p", 3), ("p", 1))]
+    assert _splice_pseudo(cycle) == ({}, 1)
+    # a real-real edge is kept as it is
+    assert _splice_pseudo([((0, 1), (1, 3))]) == \
+        ({(0, 1): (1, 3), (1, 3): (0, 1)}, 0)
+    # all of them together: the wires and the loops add up
+    mixed = chain + [(("p", 0), ("p", 0))] + \
+        [(("p", 10 + a), ("p", 10 + b)) for (_, a), (_, b) in cycle] + \
+        [((2, 1), (3, 3))]
+    wiring, loops = _splice_pseudo(mixed)
+    assert loops == 2
+    assert wiring == {(0, 2): (1, 0), (1, 0): (0, 2),
+                      (2, 1): (3, 3), (3, 3): (2, 1)}
