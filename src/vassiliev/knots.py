@@ -4,7 +4,9 @@ Planar diagrams use the standard PD convention: crossing X(a,b,c,d)
 lists the four incident arcs counterclockwise starting at the incoming
 under-strand arc; arcs are numbered sequentially along the oriented
 knot, so the under-strand runs a -> c and the crossing is positive when
-the over-strand runs d -> b (i.e. b follows d).
+the over-strand runs d -> b (i.e. b follows d).  Each component of a
+link is numbered on its own (see PlanarDiagram.signs), and the text form
+writes each free loop as `O`.
 
 Braid closures, rational tangles and the skein's oriented smoothing
 rewire ports the same way: they join real ports and pseudo nodes into
@@ -86,28 +88,59 @@ class PlanarDiagram:
         return len(self.crossings)
 
     def signs(self) -> tuple[int, ...]:
-        """Crossing signs derived from the sequential arc numbering."""
+        """Crossing signs derived from the sequential arc numbering.
+
+        Each link component is numbered on its own: arc x + 1 follows
+        arc x, and the component's least label follows its largest.  The
+        two arcs of a one-crossing curl are told apart by its under
+        strand; those of any other two-arc component by the order of its
+        two crossings, as `to_planar` numbers it: its larger label enters
+        the one listed first.
+        """
         if self._signs is not None:
             return self._signs
-        n2 = 2 * len(self.crossings)
+        strands: dict[int, list[int]] = {}  # arc -> arcs it runs into
+        for a, b, c, d in self.crossings:
+            for x, y in ((a, c), (c, a), (b, d), (d, b)):
+                strands.setdefault(x, []).append(y)
+        span: dict[int, tuple[int, int]] = {}  # arc -> its component's range
+        for start in strands:
+            if start in span:
+                continue
+            comp, stack = {start}, [start]
+            while stack:
+                for y in strands[stack.pop()]:
+                    if y not in comp:
+                        comp.add(y)
+                        stack.append(y)
+            lo, hi = min(comp), max(comp)
+            if hi - lo + 1 != len(comp):
+                raise ValueError(f"arcs {sorted(comp)} of one component "
+                                 "are not numbered consecutively")
+            for x in comp:
+                span[x] = (lo, hi)
 
-        def follows(x, y):  # x == y + 1 cyclically
-            return x == (y % n2) + 1
+        def follows(x, y):  # x == y + 1 within y's component, cyclically
+            lo, hi = span[y]
+            return x == (lo if y == hi else y + 1)
 
         out = []
-        for (a, b, c, d) in self.crossings:
+        for k, (a, b, c, d) in enumerate(self.crossings):
             pos, neg = follows(b, d), follows(d, b)
-            if pos and neg:
-                # only possible on a one-crossing curl: the over strand
-                # shares an arc with the under strand on one side
-                if b == a:
-                    out.append(1)
-                elif d == a:
-                    out.append(-1)
+            if pos and neg and b != d:
+                if {a, c} == {b, d}:
+                    # a curl: the under strand's out-arc enters the over
+                    pos = d == c
                 else:
-                    raise ValueError(
-                        f"crossing X({a},{b},{c},{d}): ambiguous "
-                        "over-strand direction")
+                    # a two-arc component through crossings k and j
+                    j = next(i for i, cr in enumerate(self.crossings)
+                             if i != k and b in cr)
+                    pos = d == (max(b, d) if k < j else min(b, d))
+                out.append(1 if pos else -1)
+            elif pos and neg:
+                raise ValueError(
+                    f"crossing X({a},{b},{c},{d}): ambiguous "
+                    "over-strand direction")
             elif pos:
                 out.append(1)
             elif neg:
@@ -141,19 +174,26 @@ class PlanarDiagram:
 
 
 def pd_to_text(pd: PlanarDiagram) -> str:
-    if not pd.crossings:
+    """`X(a,b,c,d) ...` plus one `O` per free loop; `unknot` alone."""
+    if not pd.crossings and pd.loops == 1:
         return "unknot"
-    return " ".join(f"X({a},{b},{c},{d})" for (a, b, c, d) in pd.crossings)
+    return " ".join([f"X({a},{b},{c},{d})" for (a, b, c, d) in pd.crossings]
+                    + ["O"] * pd.loops)
 
 
 def parse_pd(text: str) -> PlanarDiagram:
-    """Parse `X(a,b,c,d) X(...) ...` (commas between crossings allowed)."""
+    """Parse `X(a,b,c,d) X(...) ... O ...` (commas between crossings
+    allowed), where each `O` is a free loop."""
     text = text.strip()
     if text.lower() in ("unknot", "0_1", ""):
         return PlanarDiagram([], 1)
     crossings = []
+    loops = 0
     for chunk in text.replace("),", ") ").split():
         chunk = chunk.strip().rstrip(",")
+        if chunk == "O":
+            loops += 1
+            continue
         if not chunk:
             continue
         if not (chunk.startswith("X(") and chunk.endswith(")")):
@@ -162,7 +202,7 @@ def parse_pd(text: str) -> PlanarDiagram:
         if len(nums) != 4:
             raise ValueError(f"malformed PD crossing: {chunk!r}")
         crossings.append(tuple(int(x) for x in nums))
-    return PlanarDiagram(crossings)
+    return PlanarDiagram(crossings, loops)
 
 
 @dataclass(frozen=True)

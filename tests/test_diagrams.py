@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from vassiliev.diagrams import (
     canonicalize,
     chord_diagram,
     chord_diagrams,
+    connected_diagrams,
     decompose,
     degree,
     has_isolated_chord,
@@ -204,6 +206,26 @@ def test_diagram_sum_drops_zero_and_signs():
     assert not s
 
 
+def _relabelled(rng, d):
+    """d with the circle rotated, the vertices permuted and each vertex's
+    slots rotated or reversed; also the number of reversed vertices."""
+    L, T = d.legs, d.vertices
+    shift = rng.randrange(L) if L else 0
+    perm_v = rng.sample(range(T), T)
+    turn = [rng.randrange(3) for _ in range(T)]
+    flip = [rng.random() < 0.5 for _ in range(T)]
+
+    def remap(ep):
+        if ep < L:
+            return (ep + shift) % L
+        v, s = divmod(ep - L, 3)
+        s = (turn[v] - s) % 3 if flip[v] else (s + turn[v]) % 3
+        return L + 3 * perm_v[v] + s
+
+    return (Diagram(L, T, [(remap(a), remap(b)) for a, b in d.edges]),
+            sum(flip))
+
+
 def test_canonicalize_relabel_sign_law():
     # random relabellings of diagrams with >= 2 vertices: rotate the
     # circle, permute the vertices, and rotate or reverse each vertex's
@@ -212,34 +234,22 @@ def test_canonicalize_relabel_sign_law():
     zeros = 0
     for _ in range(150):
         d = random_diagram(rng, rng.randint(2, 5), require_nonzero=False)
-        L, T = d.legs, d.vertices
-        if T < 2:
+        if d.vertices < 2:
             continue
         base = canonicalize(d)
         zeros += base.sign == 0
         for _ in range(3):
-            shift = rng.randrange(L)
-            perm_v = rng.sample(range(T), T)
-            turn = [rng.randrange(3) for _ in range(T)]
-            flip = [rng.random() < 0.5 for _ in range(T)]
-
-            def remap(ep):
-                if ep < L:
-                    return (ep + shift) % L
-                v, s = divmod(ep - L, 3)
-                s = (turn[v] - s) % 3 if flip[v] else (s + turn[v]) % 3
-                return L + 3 * perm_v[v] + s
-
-            sd = canonicalize(
-                Diagram(L, T, [(remap(a), remap(b)) for a, b in d.edges]))
+            relabelled, flips = _relabelled(rng, d)
+            sd = canonicalize(relabelled)
             assert sd.diagram == base.diagram
-            assert sd.sign == base.sign * (-1) ** sum(flip)
+            assert sd.sign == base.sign * (-1) ** flips
     assert zeros > 0
 
 
 def test_chord_diagram_class_counts():
-    assert [len(chord_diagrams(n)) for n in range(7)] == \
-        [1, 1, 2, 5, 18, 105, 902]
+    # chord diagrams up to rotation: OEIS A007769
+    assert [len(chord_diagrams(n)) for n in range(8)] == \
+        [1, 1, 2, 5, 18, 105, 902, 9749]
 
 
 def _matchings_by_pairing(items):
@@ -250,6 +260,16 @@ def _matchings_by_pairing(items):
     for k in range(len(rest)):
         for m in _matchings_by_pairing(rest[:k] + rest[k + 1:]):
             yield [(first, rest[k])] + m
+
+
+def test_chord_diagrams_are_the_canonical_matchings():
+    # the code enumeration against canonicalize on every matching
+    for n in range(7):
+        found = {}
+        for m in _matchings_by_pairing(list(range(2 * n))):
+            c = canonicalize(Diagram(2 * n, 0, m)).diagram
+            found[canonical_key(c)] = c
+        assert chord_diagrams(n) == [found[k] for k in sorted(found)], n
 
 
 def _one_vertex_by_placement(n):
@@ -276,3 +296,74 @@ def test_one_vertex_class_counts_small():
 def test_one_vertex_matches_placement_enumeration():
     for n in range(6):
         assert one_vertex_diagrams(n) == _one_vertex_by_placement(n)
+
+
+def _reference_canonical(d):
+    """The full search over all L rotations and 2**T vertex orientations:
+    (canonical key, sign, canonical edges)."""
+    L, T = d.legs, d.vertices
+    if L == 0 and T == 0:
+        return (0, 0), 1, ()
+    partner = d.partner_map()
+    best, signs = None, set()
+    for rotation in range(L):
+        for eps in itertools.product((1, -1), repeat=T):
+            vid, anchor, order, tokens = [-1] * T, [0] * T, [], []
+            undecided = best is not None  # equal to best so far
+            for j in range(L + 2 * T):
+                if j < L:
+                    ep = partner[(rotation + j) % L]
+                else:
+                    v = order[(j - L) // 2]
+                    turn = 1 + (j - L) % 2
+                    ep = partner[L + 3 * v + (anchor[v] + turn * eps[v]) % 3]
+                if ep < L:
+                    t = (ep - rotation) % L
+                else:
+                    v, s = divmod(ep - L, 3)
+                    if vid[v] < 0:
+                        vid[v], anchor[v] = len(order), s
+                        order.append(v)
+                        t = L + 3 * vid[v]
+                    else:
+                        t = L + 3 * vid[v] + (s - anchor[v]) * eps[v] % 3
+                if undecided and t != best[j]:
+                    if t > best[j]:
+                        break
+                    undecided = False
+                tokens.append(t)
+            else:
+                if undecided:
+                    signs.add(math.prod(eps))
+                else:
+                    best, signs = tuple(tokens), {math.prod(eps)}
+    sign = 0 if len(signs) == 2 or d.has_tadpole() else signs.pop()
+    sources = list(range(L))
+    for v in range(T):
+        sources += [L + 3 * v + 1, L + 3 * v + 2]
+    edges = {tuple(sorted(e)) for e in zip(sources, best)}
+    return (T, L) + best, sign, tuple(sorted(edges))
+
+
+def test_canonical_search_matches_reference():
+    # the chord fast path and the first-token filter against the full
+    # search, on every enumerated class up to degree 6, seeded random
+    # diagrams, and a seeded relabelling of each of them
+    rng = random.Random(17)
+    diagrams = []
+    for n in range(7):
+        diagrams += chord_diagrams(n) + one_vertex_diagrams(n)
+        for T in range(6):
+            diagrams += connected_diagrams(n, T) if n else []
+    diagrams += [random_diagram(rng, rng.randint(1, 5), require_nonzero=False)
+                 for _ in range(2000)]
+    diagrams += [_relabelled(rng, d)[0] for d in diagrams]
+    for d in diagrams:
+        key, sign, edges = _reference_canonical(d)
+        sd = canonicalize(d)
+        assert (canonical_key(d), sd.sign, sd.diagram.edges) == \
+            (key, sign, edges), serialize(d)
+        # canonical diagrams are built unvalidated; the validating
+        # constructor must accept each and give an equal diagram
+        canon = sd.diagram
+        assert Diagram(canon.legs, canon.vertices, canon.edges) == canon

@@ -53,6 +53,45 @@ def test_pd_roundtrip():
     assert parse_pd("unknot").n_crossings == 0
 
 
+def _rational_codes(total):
+    """Every positive continued-fraction code with the given sum."""
+    if total == 0:
+        yield []
+        return
+    for first in range(1, total + 1):
+        for rest in _rational_codes(total - first):
+            yield [first] + rest
+
+
+def test_pd_text_roundtrip_links_and_loops():
+    # each link component is numbered on its own and every free loop is
+    # written as O, so a printed PD reads back to the same diagram
+    pds = []
+    for name in knot_names():
+        pds += [knot(name), knot(name + "!")]
+    rng = random.Random(29)
+    for _ in range(200):
+        strands = rng.randint(1, 5)
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(0, 8) if strands > 1 else 0)]
+        pds.append(braid_closure(BraidWord(strands, word)))
+    for total in range(1, 8):
+        pds += [rational_knot(code) for code in _rational_codes(total)]
+    assert sum(pd.loops > 0 and pd.n_crossings > 0 for pd in pds) > 10
+    for pd in pds:
+        back = parse_pd(pd_to_text(pd))
+        assert back.crossings == pd.crossings, pd_to_text(pd)
+        assert back.signs() == pd.signs(), pd_to_text(pd)
+        assert back.loops == pd.loops, pd_to_text(pd)
+        assert homfly(back) == homfly(pd), pd_to_text(pd)
+    # the positive Hopf link, the trefoil plus a free loop, two loops
+    assert parse_pd("X(4,1,3,2) X(1,4,2,3)").signs() == (1, 1)
+    assert parse_pd("X(3,1,4,6) X(1,5,2,4) X(5,3,6,2) O").loops == 1
+    assert pd_to_text(PlanarDiagram([], 2)) == "O O"
+    assert parse_pd("O O").loops == 2
+    assert pd_to_text(UNKNOT) == "unknot"
+
+
 def test_braid_word_validation():
     with pytest.raises(ValueError):
         BraidWord(2, [2])
