@@ -15,11 +15,12 @@ Canonical forms quotient by circle rotation, vertex relabelling and
 cyclic slot rotation; orientation reversals are tracked as signs.  The
 canonical labelling minimizes a traversal code over rotations and
 per-vertex orientation choices; vertex numbering is forced by discovery
-order.  A chord diagram's code is its least rotated partner list (sign
-+1).  With vertices, only the rotations with the least first token,
-which no orientation changes, are searched over the 2**T orientations.
-Chord diagrams are enumerated as the codes of all matchings: at degree
-6 the 10,395 matchings give 902 codes, and only those become Diagrams.
+order.  A rotation's first token (its first leg's partner, or L for a
+vertex) does not depend on the orientations, so only the rotations
+with the least first token are searched over the 2**T orientations; a
+chord diagram (T = 0) has one orientation and sign +1.  Chord diagrams
+are enumerated as the codes of all matchings: at degree 6 the 10,395
+matchings give 902 codes, and only those become Diagrams.
 
 One-vertex diagrams (the 4T sources) are not placed on the circle
 directly: each comes from a canonical chord diagram by merging two
@@ -67,15 +68,6 @@ class Diagram:
         self.edges = edges
         self._hash = hash((self.legs, self.vertices, edges))
         self._validate()
-
-    @classmethod
-    def _trusted(cls, legs: int, vertices: int, edges: tuple) -> "Diagram":
-        """Relabelling of a validated diagram, from sorted edges; not
-        validated again."""
-        d = cls.__new__(cls)
-        d.legs, d.vertices, d.edges = legs, vertices, edges
-        d._hash = hash((legs, vertices, edges))
-        return d
 
     def _validate(self) -> None:
         L, T = self.legs, self.vertices
@@ -169,18 +161,6 @@ def degree(d: Diagram) -> int:
 _CANON_CACHE: dict[Diagram, tuple[SignedDiagram, tuple]] = {}
 
 
-def _chord_code(partner: list) -> tuple:
-    """Traversal code of a chord diagram: its least rotated partner list
-    ((partner[r + j] - r) mod L)_j, searched over the rotations with the
-    least first token partner[r] - r."""
-    L = len(partner)
-    firsts = [(p - r) % L for r, p in enumerate(partner)]
-    least = min(firsts, default=0)
-    twice = partner + partner
-    return min((tuple([(x - r) % L for x in twice[r:r + L]])
-                for r in range(L) if firsts[r] == least), default=())
-
-
 def _canonicalize_full(d: Diagram) -> tuple[SignedDiagram, tuple]:
     cached = _CANON_CACHE.get(d)
     if cached is not None:
@@ -190,12 +170,9 @@ def _canonicalize_full(d: Diagram) -> tuple[SignedDiagram, tuple]:
     for a, b in d.edges:
         partner[a] = b
         partner[b] = a
-    if T == 0:
-        best, sign = _chord_code(partner), 1
-    else:
-        best, sign = _vertex_code(L, T, partner)
-        if d.has_tadpole():
-            sign = 0
+    best, sign = _least_code(L, T, partner)
+    if d.has_tadpole():
+        sign = 0
     canon = _rebuild(L, T, best)
     result = (SignedDiagram(canon, sign), (T, L) + best)
     _CANON_CACHE[d] = result
@@ -206,9 +183,11 @@ def _canonicalize_full(d: Diagram) -> tuple[SignedDiagram, tuple]:
     return result
 
 
-def _vertex_code(L: int, T: int, partner: list) -> tuple[tuple, int]:
-    """Least traversal code of a diagram with T > 0 vertices, and its sign
-    (0 if codes of both signs reach it)."""
+def _least_code(L: int, T: int, partner: list) -> tuple[tuple, int]:
+    """Least traversal code of a diagram and its sign (0 if codes of both
+    signs reach it)."""
+    if not L:  # the empty diagram: no legs, so no vertices
+        return (), 1
     # a rotation's first token (its first leg's partner, or L for a
     # vertex) does not depend on the orientations: only rotations with
     # the least one can reach the least code
@@ -272,7 +251,7 @@ def _rebuild(L: int, T: int, tokens) -> Diagram:
     for v in range(T):
         sources.extend((L + 3 * v + 1, L + 3 * v + 2))
     edges = {(s, t) if s < t else (t, s) for s, t in zip(sources, tokens)}
-    return Diagram._trusted(L, T, tuple(sorted(edges)))
+    return Diagram(L, T, edges)
 
 
 def canonicalize(d: Diagram) -> SignedDiagram:
@@ -588,7 +567,7 @@ def chord_diagrams(n: int) -> list[Diagram]:
         return _CHORD_CACHE[n]
     m = 2 * n
     out = []
-    for code in sorted({_chord_code(p) for p in _matchings(m)}):
+    for code in sorted({_least_code(m, 0, p)[0] for p in _matchings(m)}):
         c = _rebuild(m, 0, code)
         _CANON_CACHE.setdefault(c, (SignedDiagram(c, 1), (0, m) + code))
         out.append(c)

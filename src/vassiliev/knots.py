@@ -93,9 +93,10 @@ class PlanarDiagram:
         Each link component is numbered on its own: arc x + 1 follows
         arc x, and the component's least label follows its largest.  The
         two arcs of a one-crossing curl are told apart by its under
-        strand; those of any other two-arc component by the order of its
-        two crossings, as `to_planar` numbers it: its larger label enters
-        the one listed first.
+        strand.  Any other two-arc component is read as `to_planar`
+        numbers it: its smaller label enters the last crossing (in list
+        order) that it passes over.  Where it passes over only once, that
+        is KnotTheory's reading of a two-arc component.
         """
         if self._signs is not None:
             return self._signs
@@ -135,7 +136,8 @@ class PlanarDiagram:
                     # a two-arc component through crossings k and j
                     j = next(i for i, cr in enumerate(self.crossings)
                              if i != k and b in cr)
-                    pos = d == (max(b, d) if k < j else min(b, d))
+                    over_later = k < j and b in self.crossings[j][1::2]
+                    pos = d == (max(b, d) if over_later else min(b, d))
                 out.append(1 if pos else -1)
             elif pos and neg:
                 raise ValueError(
@@ -470,6 +472,11 @@ class _OrientedState:
         arcs: dict[tuple[int, int], int] = {}  # in-port -> arc label
         label = 0
         for comp in self._walk_components():
+            if len(comp) == 2 and comp[0][0] != comp[1][0]:
+                # a two-arc component (not a curl): its smaller label
+                # enters the last crossing it passes over, as signs() reads
+                comp = sorted(comp, key=lambda kp: (kp[1] != 0, kp[0]),
+                              reverse=True)
             for (k, p) in comp:
                 label += 1
                 arcs[(k, p)] = label

@@ -84,8 +84,10 @@ def test_pd_text_roundtrip_links_and_loops():
         assert back.signs() == pd.signs(), pd_to_text(pd)
         assert back.loops == pd.loops, pd_to_text(pd)
         assert homfly(back) == homfly(pd), pd_to_text(pd)
-    # the positive Hopf link, the trefoil plus a free loop, two loops
-    assert parse_pd("X(4,1,3,2) X(1,4,2,3)").signs() == (1, 1)
+    # the positive Hopf link as printed, the Knot Atlas's L2a1 (a
+    # negative Hopf link), the trefoil plus a free loop, two loops
+    assert parse_pd("X(4,2,3,1) X(2,4,1,3)").signs() == (1, 1)
+    assert parse_pd("X(4,1,3,2) X(2,3,1,4)").signs() == (-1, -1)
     assert parse_pd("X(3,1,4,6) X(1,5,2,4) X(5,3,6,2) O").loops == 1
     assert pd_to_text(PlanarDiagram([], 2)) == "O O"
     assert parse_pd("O O").loops == 2
