@@ -35,7 +35,7 @@ from .diagrams import (
     product_all,
     serialize,
 )
-from .linalg import SparseEliminator, determinant, invert
+from .linalg import SparseEliminator, determinant, invert, solve_dense
 from .relations import (
     ihx,
     internal_edges,
@@ -59,9 +59,6 @@ class BasisElement:
     @property
     def composite(self) -> bool:
         return len(self.components) > 1
-
-    def label(self) -> str:
-        return f"r[{self.degree},{self.index + 1}]"
 
 
 @dataclass(frozen=True)
@@ -249,25 +246,22 @@ def coordinates(d: Diagram, basis: CanonicalBasis) -> Coordinates:
     if has_isolated_chord(d):
         raise ValueError("diagram has an isolated chord; it is zero in the "
                          "reduced quotient spanned by the basis")
-    space = quotient_space(i, True)
-    target = space.residual(d)
+    target = quotient_space(i, True).residual(d)
     elems = basis.elements(i)
+    if not elems:
+        if any(target.values()):
+            raise RuntimeError("nonzero class with an empty basis")
+        return Coordinates(i, ())
     cols = [basis.residual(e) for e in elems]
     support = sorted(set(target) | {c for col in cols for c in col})
     matrix = [[col.get(s, Fraction(0)) for col in cols] for s in support]
     rhs = [target.get(s, Fraction(0)) for s in support]
-    from .linalg import solve_dense
-
-    if not elems:
-        if any(rhs):
-            raise RuntimeError("nonzero class with an empty basis")
-        return Coordinates(i, ())
     sol = solve_dense(matrix, rhs)
     if sol is None:
         raise RuntimeError("diagram class not in the basis span; the basis "
                            "construction is inconsistent")
     # exactness check: the residual of the difference must vanish
-    combo = dict(space.residual(d))
+    combo = dict(target)
     for c, col in zip(sol, cols):
         for s, v in col.items():
             w = combo.get(s, Fraction(0)) - c * v

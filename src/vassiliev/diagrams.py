@@ -18,15 +18,15 @@ per-vertex orientation choices; vertex numbering is forced by discovery
 order.  A rotation's first token (its first leg's partner, or L for a
 vertex) does not depend on the orientations, so only the rotations
 with the least first token are searched over the 2**T orientations; a
-chord diagram (T = 0) has one orientation and sign +1.  Chord diagrams
-are enumerated as the codes of all matchings: at degree 6 the 10,395
-matchings give 902 codes, and only those become Diagrams.
+chord diagram (T = 0) has one orientation and sign +1.
 
-One-vertex diagrams (the 4T sources) are not placed on the circle
-directly: each comes from a canonical chord diagram by merging two
-adjacent legs into the leg of a new vertex, the inverse of an STU
-resolution.  At degree 6 that is 9,844 canonicalizations for the
-1,575 classes, against 34,650 for every placement of the vertex.
+Every enumeration (chord, one-vertex and connected diagrams) generates
+partner lists, collects their `_least_code` codes and builds one
+Diagram per class (`_classes`); no Diagram is built per source.  At
+degree 6 the 10,395 matchings give 902 chord classes, and the 9,844
+merges of two adjacent legs of a chord diagram into the leg of a new
+vertex (the inverse of an STU resolution) give the 1,575 one-vertex
+classes, the 4T sources.
 """
 
 from __future__ import annotations
@@ -557,22 +557,62 @@ def _matchings(m: int):
     yield from rec(0)
 
 
+def _classes(L: int, T: int, partner_lists) -> list[Diagram]:
+    """One canonical Diagram per class of the given partner lists, sorted
+    by code; classes of sign 0 are dropped.
+
+    Each list costs one `_least_code` call and builds no Diagram; only
+    the classes are rebuilt (and validated), and each seeds
+    `_CANON_CACHE` as its own canonical form with sign +1.  Callers pass
+    tadpole-free lists only, so the tadpole rule of `_canonicalize_full`
+    never applies and the code's sign is the class's sign.
+    """
+    codes = set()
+    for partner in partner_lists:
+        code, sign = _least_code(L, T, partner)
+        if sign:
+            codes.add(code)
+    out = []
+    for code in sorted(codes):
+        d = _rebuild(L, T, code)
+        _CANON_CACHE.setdefault(d, (SignedDiagram(d, 1), (T, L) + code))
+        out.append(d)
+    return out
+
+
 _CHORD_CACHE: dict[int, list[Diagram]] = {}
 
 
 def chord_diagrams(n: int) -> list[Diagram]:
     """All canonical chord diagrams of degree n, sorted; built from the
     codes of all matchings, one Diagram per class."""
-    if n in _CHORD_CACHE:
-        return _CHORD_CACHE[n]
-    m = 2 * n
-    out = []
-    for code in sorted({_least_code(m, 0, p)[0] for p in _matchings(m)}):
-        c = _rebuild(m, 0, code)
-        _CANON_CACHE.setdefault(c, (SignedDiagram(c, 1), (0, m) + code))
-        out.append(c)
-    _CHORD_CACHE[n] = out
-    return out
+    if n not in _CHORD_CACHE:
+        _CHORD_CACHE[n] = _classes(2 * n, 0, _matchings(2 * n))
+    return _CHORD_CACHE[n]
+
+
+def _merged_legs(n: int):
+    """Partner list of every merge of two circle-adjacent legs p, p+1
+    (not one isolated chord) of a canonical degree-n chord diagram into
+    the leg 0 of a new vertex, whose slots 1 and 2 take the legs'
+    partners."""
+    m = 2 * n  # legs of a degree-n chord diagram
+    L = m - 1
+    for chord in chord_diagrams(n):
+        cp = chord.partner_map()
+        for p in range(m):
+            q = (p + 1) % m
+            if cp[p] == q:
+                continue
+            # rotate p, q to 0, 1, which both become the new leg 0
+            leg = [max((x - p) % m - 1, 0) for x in range(m)]
+            partner = [0] * (L + 3)
+            for x in range(m):  # leg 0 and its partners are reset below
+                partner[leg[x]] = leg[cp[x]]
+            a, b = leg[cp[p]], leg[cp[q]]
+            partner[0], partner[a], partner[b] = L, L + 1, L + 2
+            partner[L:] = (0, a, b)
+            yield partner
 
 
 _ONE_VERTEX_CACHE: dict[int, list[Diagram]] = {}
@@ -584,32 +624,13 @@ def one_vertex_diagrams(n: int) -> list[Diagram]:
     These are the sources of the four-term relations: the two leg
     resolutions of the vertex must agree in the chord-diagram quotient.
     Each one is built from a degree-n chord diagram by merging two
-    circle-adjacent legs p, p+1 (not one isolated chord) into the single
-    leg of a new vertex, whose other two slots take the legs' partners.
-    This inverts the STU resolution at that leg, so every class arises.
+    circle-adjacent legs into the single leg of a new vertex
+    (`_merged_legs`).  This inverts the STU resolution at that leg, so
+    every class arises.
     """
-    if n in _ONE_VERTEX_CACHE:
-        return _ONE_VERTEX_CACHE[n]
-    m = 2 * n  # legs of a degree-n chord diagram
-    L = m - 1
-    found = {}
-    for chord in chord_diagrams(n):
-        partner = chord.partner_map()
-        for p in range(m):
-            q = (p + 1) % m
-            if partner[p] == q:
-                continue
-            # rotate p, q to 0, 1, which both become the new leg 0
-            leg = [max((x - p) % m - 1, 0) for x in range(m)]
-            edges = [(0, L), (leg[partner[p]], L + 1), (leg[partner[q]], L + 2)]
-            edges += [(leg[x], leg[y]) for x, y in chord.edges
-                      if x not in (p, q) and y not in (p, q)]
-            sd = canonicalize(Diagram(L, 1, edges))
-            if sd.sign:
-                found[canonical_key(sd.diagram)] = sd.diagram
-    out = [found[k] for k in sorted(found)]
-    _ONE_VERTEX_CACHE[n] = out
-    return out
+    if n not in _ONE_VERTEX_CACHE:
+        _ONE_VERTEX_CACHE[n] = _classes(2 * n - 1, 1, _merged_legs(n))
+    return _ONE_VERTEX_CACHE[n]
 
 
 def _connected_multigraphs(T: int, E: int) -> list[tuple]:
@@ -631,25 +652,12 @@ def _connected_multigraphs(T: int, E: int) -> list[tuple]:
                 best = mapped
         return best
 
-    def connected(edges) -> bool:
-        adj = {i: set() for i in range(T)}
-        for a, b in edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == T
-
     def rec(idx: int, remaining: int, deg: list, edges: list):
         if remaining == 0:
-            t = tuple(edges)
-            if connected(t):
-                results.add(canonical(t))
+            # vertex v is node v of the leg-free dashed graph (slot 3v)
+            roots = _dashed_roots(0, T, [(3 * a, 3 * b) for a, b in edges])
+            if len(set(roots)) == 1:
+                results.add(canonical(tuple(edges)))
             return
         if idx == len(pairs):
             return
@@ -686,8 +694,30 @@ def _multiset_sequences(counts: dict[int, int]):
     yield from rec()
 
 
-def _rotation_minimal(seq: tuple) -> bool:
-    return all(seq <= seq[i:] + seq[:i] for i in range(1, len(seq)))
+def _leg_placements(L: int, T: int, E: int):
+    """Partner lists of the connected diagrams whose L legs all end on
+    the T vertices of a connected multigraph with E edges: one per
+    (multigraph, rotation-minimal sequence of the legs' vertices).
+    Edges and then legs take each vertex's free slots in order."""
+    for graph in _connected_multigraphs(T, E):
+        graph_partner = [0] * (L + 3 * T)
+        used = [0] * T
+        for a, b in graph:
+            x, y = L + 3 * a + used[a], L + 3 * b + used[b]
+            used[a] += 1
+            used[b] += 1
+            graph_partner[x], graph_partner[y] = y, x
+        # the free slots number 3T - 2E = L
+        for seq in _multiset_sequences({v: 3 - used[v] for v in range(T)}):
+            if any(seq > seq[i:] + seq[:i] for i in range(1, L)):
+                continue  # not the least rotation of the leg sequence
+            partner = graph_partner[:]
+            slot = used[:]
+            for pos, v in enumerate(seq):
+                x = L + 3 * v + slot[v]
+                slot[v] += 1
+                partner[pos], partner[x] = x, pos
+            yield partner
 
 
 def connected_diagrams(n: int, T: int) -> list[Diagram]:
@@ -704,40 +734,7 @@ def connected_diagrams(n: int, T: int) -> list[Diagram]:
     L = 2 * n - T
     if E < max(0, T - 1) or L < 1 or T < 1:
         return []
-    found = {}
-    for graph in _connected_multigraphs(T, E):
-        deg = [0] * T
-        for a, b in graph:
-            deg[a] += 1
-            deg[b] += 1
-        free = {v: 3 - deg[v] for v in range(T)}
-        if sum(free.values()) != L:
-            continue
-        for seq in _multiset_sequences(dict(free)):
-            if not _rotation_minimal(seq):
-                continue
-            next_slot = [0] * T
-            edges = []
-            ok = True
-            for a, b in graph:
-                sa, sb = next_slot[a], next_slot[b]
-                next_slot[a] += 1
-                next_slot[b] += 1
-                edges.append((L + 3 * a + sa, L + 3 * b + sb))
-            for pos, v in enumerate(seq):
-                s = next_slot[v]
-                next_slot[v] += 1
-                if s > 2:
-                    ok = False
-                    break
-                edges.append((pos, L + 3 * v + s))
-            if not ok:
-                continue
-            sd = canonicalize(Diagram(L, T, edges))
-            if sd.sign == 0:
-                continue
-            found[canonical_key(sd.diagram)] = sd.diagram
-    return [found[k] for k in sorted(found)]
+    return _classes(L, T, _leg_placements(L, T, E))
 
 
 def random_diagram(rng, deg: int, require_nonzero: bool = True) -> Diagram:

@@ -1,4 +1,5 @@
 import importlib
+import pathlib
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from vassiliev.basis import (
     BasisChangeMatrix,
     _code_version,
+    _serialize_body,
     coordinates,
     divides,
     is_valid_sum,
@@ -40,6 +42,12 @@ def loaded5(tmp_path_factory, basis5):
 def test_basis_counts(basis6):
     assert [basis6.d(i) for i in range(7)] == [1, 0, 1, 1, 3, 4, 9]
     assert [basis6.d_hat(i) for i in range(2, 7)] == [1, 1, 2, 3, 5]
+
+
+def test_basis_degree6_elements_pinned(basis6):
+    # which connected diagrams the selection picks, and in what order
+    expected = pathlib.Path(__file__).parent / "data" / "basis6_body.txt"
+    assert _serialize_body(6, basis6.by_degree) == expected.read_text()
 
 
 def test_basis_ordering_connected_first(basis6):

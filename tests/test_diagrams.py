@@ -298,6 +298,35 @@ def test_one_vertex_matches_placement_enumeration():
         assert one_vertex_diagrams(n) == _one_vertex_by_placement(n)
 
 
+def _connected_by_placement(n, T):
+    # reference enumeration: leg 0 on slot 0 of vertex 0 (any connected
+    # diagram is brought there by relabelling vertices and rotating slots,
+    # neither of which changes the sign), every other leg on any free
+    # slot, and every matching of the slots left over
+    L = 2 * n - T
+    slots = list(range(L + 1, L + 3 * T))
+    found = {}
+    for legs in itertools.permutations(slots, L - 1):
+        rest = [s for s in slots if s not in legs]
+        base = [(0, L)] + list(zip(range(1, L), legs))
+        for m in _matchings_by_pairing(rest):
+            try:
+                d = Diagram(L, T, base + m)
+            except ValueError:  # a component without legs
+                continue
+            if len(decompose(d).components) == 1 and not d.has_tadpole():
+                sd = canonicalize(d)
+                if sd.sign:
+                    found[canonical_key(sd.diagram)] = sd.diagram
+    return [found[k] for k in sorted(found)]
+
+
+@pytest.mark.parametrize("n,T", [(2, 1), (2, 2), (3, 2), (3, 3), (3, 4),
+                                 (4, 3)])
+def test_connected_matches_placement_enumeration(n, T):
+    assert connected_diagrams(n, T) == _connected_by_placement(n, T)
+
+
 def _reference_canonical(d):
     """The full search over all L rotations and 2**T vertex orientations:
     (canonical key, sign, canonical edges)."""
