@@ -260,16 +260,10 @@ def coordinates(d: Diagram, basis: CanonicalBasis) -> Coordinates:
     if sol is None:
         raise RuntimeError("diagram class not in the basis span; the basis "
                            "construction is inconsistent")
-    # exactness check: the residual of the difference must vanish
-    combo = dict(target)
-    for c, col in zip(sol, cols):
-        for s, v in col.items():
-            w = combo.get(s, Fraction(0)) - c * v
-            if w:
-                combo[s] = w
-            elif s in combo:
-                del combo[s]
-    if combo:
+    # exactness check: the support covers the target and every column,
+    # so the residual of the difference vanishes iff every row holds
+    if any(sum(c * v for c, v in zip(sol, row)) != r
+           for row, r in zip(matrix, rhs)):
         raise RuntimeError("coordinate verification failed")
     return Coordinates(i, tuple(sol))
 
@@ -297,16 +291,10 @@ def _stu_mates(d: Diagram) -> set[Diagram]:
     """Diagrams appearing with d in some STU relation."""
     out: set[Diagram] = set()
     L = d.legs
-    # resolutions of d (d as the vertex term)
+    # resolutions of d (d as the vertex term; a leg is an edge's first end)
     for a, b in d.edges:
         if a < L <= b:
-            leg, v = a, (b - L) // 3
-        elif b < L <= a:
-            leg, v = b, (a - L) // 3
-        else:
-            continue
-        for term in stu(d, v, leg).terms:
-            out.add(term)
+            out.update(stu(d, (b - L) // 3, a).terms)
     # adjacent-leg transpositions (d as one of the two resolved terms)
     for p in range(L):
         q = (p + 1) % L

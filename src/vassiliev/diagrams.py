@@ -36,6 +36,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .laurent import SparsePoly
+
 
 def _dashed_roots(legs: int, vertices: int, edges) -> list[int]:
     """Union-find root of every node of the dashed graph: legs are nodes
@@ -274,86 +276,70 @@ def canonical_key(d: Diagram) -> tuple:
 # linear combinations
 
 
-class DiagramSum:
-    """Formal rational linear combination of canonical diagrams.
+class DiagramSum(SparsePoly):
+    """Formal exact linear combination of canonical diagrams: the
+    `laurent.SparsePoly` kernel keyed by canonical diagrams.
 
-    Keys are canonical; coefficients exact rationals; zero coefficients
-    and sign-0 diagrams are dropped.  All stored keys share one degree.
+    `add` canonicalizes, applies the antisymmetry sign and stores the
+    coefficient as given, so STU, IHX and 4T sums keep `int`
+    coefficients; zero coefficients and sign-0 diagrams are dropped.
+    All keys share one degree (`add` or `+` across two raises
+    ValueError).  `add` mutates a sum, so sums are unhashable.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    __hash__ = None
 
     def __init__(self, terms=None):
-        self.terms: dict[Diagram, Fraction] = {}
+        self.names = ()
+        self.coeffs: dict[Diagram, int | Fraction] = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for d, c in items:
                 self.add(d, c)
 
+    @property
+    def terms(self) -> dict[Diagram, int | Fraction]:
+        """The kernel's `coeffs`: canonical diagram -> coefficient."""
+        return self.coeffs
+
     def add(self, d: Diagram, coeff) -> None:
-        coeff = Fraction(coeff)
-        if coeff == 0:
+        if not coeff:
             return
         sd = canonicalize(d)
         if sd.sign == 0:
             return
         key = sd.diagram
-        if self.terms:
-            existing_degree = next(iter(self.terms)).degree
-            if key.degree != existing_degree:
-                raise ValueError("mixed degrees in a DiagramSum")
-        v = self.terms.get(key, Fraction(0)) + sd.sign * coeff
+        terms = self.coeffs
+        if terms and key.degree != next(iter(terms)).degree:
+            raise ValueError("mixed degrees in a DiagramSum")
+        v = terms.get(key, 0) + sd.sign * coeff
         if v:
-            self.terms[key] = v
-        elif key in self.terms:
-            del self.terms[key]
-
-    def items(self):
-        return sorted(self.terms.items(), key=lambda kv: canonical_key(kv[0]))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, DiagramSum) and self.terms == other.terms
+            terms[key] = v
+        else:
+            terms.pop(key, None)
 
     def __add__(self, other):
-        out = DiagramSum()
-        out.terms = dict(self.terms)
-        for d, c in other.terms.items():
-            out.add(d, c)
-        return out
+        other = self._lift(other)
+        if (self.coeffs and other.coeffs and next(iter(self.coeffs)).degree
+                != next(iter(other.coeffs)).degree):
+            raise ValueError("mixed degrees in a DiagramSum")
+        return super().__add__(other)
 
-    def __neg__(self):
-        out = DiagramSum()
-        out.terms = {d: -c for d, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        scalar = Fraction(scalar)
-        out = DiagramSum()
-        if scalar:
-            out.terms = {d: c * scalar for d, c in self.terms.items()}
-        return out
-
-    __rmul__ = __mul__
+    def items(self):
+        return sorted(self.coeffs.items(), key=lambda kv: canonical_key(kv[0]))
 
     def map_terms(self, fn: "callable") -> "DiagramSum":
         """Apply fn(diagram) -> DiagramSum linearly."""
-        out = DiagramSum()
-        for d, c in self.terms.items():
-            for d2, c2 in fn(d).terms.items():
-                out.add(d2, c * c2)
-        return out
+        return sum((fn(d) * c for d, c in self.coeffs.items()), DiagramSum())
 
     def __repr__(self):
-        if not self.terms:
+        if not self.coeffs:
             return "DiagramSum(0)"
         bits = [f"{c} * {serialize(d)}" for d, c in self.items()]
         return "DiagramSum(" + " + ".join(bits) + ")"
+
+    __str__ = __repr__
 
 
 # --------------------------------------------------------------------------

@@ -221,13 +221,8 @@ def derive_composite_identities(basis: CanonicalBasis,
     # expand the left side via the product-group weights where a diagram
     # exists; otherwise (framing extension) from the multiset directly
     lhs: dict[tuple[int, int], MultiPoly] = {}
-    rhs: dict[tuple[int, int], MultiPoly] = {}
-
-    def add(target, key, poly):
-        if key in target:
-            target[key] = target[key] + poly
-        else:
-            target[key] = poly
+    left = [MultiPoly.zero() for _ in range(K + 1)]
+    right = [MultiPoly.zero() for _ in range(K + 1)]
 
     basis_elements_by_multiset = {}
     for i in range(K + 1):
@@ -244,8 +239,8 @@ def derive_composite_identities(basis: CanonicalBasis,
             factors = weight_product_group(
                 elem.diagram, marks=("G", "G2"),
                 labeler=lambda d: g_label(conn_diagrams[d]))
-            for (a, b), poly in factors.items():
-                add(lhs, (a, b), a_m * poly)
+            for key, poly in factors.items():
+                lhs[key] = lhs.get(key, 0) + a_m * poly
         else:
             counts = Counter(m)
             items = sorted(counts.items())
@@ -259,21 +254,18 @@ def derive_composite_identities(basis: CanonicalBasis,
                     a += label[0] * s
                     mono = mono * MultiPoly.sym(g_sym(label, "G"), s)
                     mono = mono * MultiPoly.sym(g_sym(label, "G2"), c - s)
-                add(lhs, (a, deg - a), a_m * mono * Fraction(ways))
+                key = (a, deg - a)
+                lhs[key] = lhs.get(key, 0) + a_m * mono * Fraction(ways)
         # right side: product of two single-group expansions
         g_mono = MultiPoly.one()
         gp_mono = MultiPoly.one()
         for label in m:
             g_mono = g_mono * MultiPoly.sym(g_sym(label, "G"))
             gp_mono = gp_mono * MultiPoly.sym(g_sym(label, "G2"))
-        add(rhs, ("left", deg), a_m * g_mono)
-        add(rhs, ("right", deg), a_m * gp_mono)
-
-    for (ka, va) in [x for x in rhs.items() if x[0][0] == "left"]:
-        for (kb, vb) in [x for x in rhs.items() if x[0][0] == "right"]:
-            if ka[1] + kb[1] <= K:
-                add(rhs, (ka[1], kb[1]), va * vb)
-    rhs = {k: v for k, v in rhs.items() if isinstance(k[0], int)}
+        left[deg] = left[deg] + a_m * g_mono
+        right[deg] = right[deg] + a_m * gp_mono
+    rhs = {(i, j): left[i] * right[j]
+           for i in range(K + 1) for j in range(K + 1 - i)}
 
     for key in sorted(set(lhs) | set(rhs)):
         diff = lhs.get(key, MultiPoly.zero()) - rhs.get(key, MultiPoly.zero())
@@ -427,7 +419,7 @@ class ExtractionResult:
 
 
 def _rref_with_rhs(matrix, rhs):
-    """Returns (rank, solved functionals); raises on inconsistency."""
+    """Returns (pivot columns, solved functionals); raises if inconsistent."""
     ncols = len(matrix[0]) if matrix else 0
     rows, pivots, _ = rref([list(r) + [v] for r, v in zip(matrix, rhs)],
                            ncols)
@@ -436,7 +428,7 @@ def _rref_with_rhs(matrix, rhs):
                            "weights cannot reproduce the knot series")
     functionals = tuple(SolvedFunctional(tuple(row[:ncols]), row[ncols])
                         for row in rows[:len(pivots)])
-    return len(pivots), functionals
+    return pivots, functionals
 
 
 def _held_out_solve(weights, targets, pinned, dhat: int):
@@ -498,9 +490,12 @@ def extract_alphas(pd: PlanarDiagram, basis: CanonicalBasis, max_degree: int,
         design_all = [[weight_sun_deframed_at(e.diagram, n, cfg)
                        for e in elems] for n in probes]
         rhs_all = [series[n][i] for n in probes]
-        design_rank, functionals = _rref_with_rhs(design_all, rhs_all)
+        pivots, functionals = _rref_with_rhs(design_all, rhs_all)
+        design_rank = len(pivots)
+        # pivots come in column order and connected columns come first,
+        # so the pivots among them count the connected block's rank
+        connected_rank = sum(1 for c in pivots if c < len(conn))
         conn_cols = [row[:len(conn)] for row in design_all]
-        connected_rank = matrix_rank(conn_cols)
         # solving uses the training probes only, so full rank must hold there
         connected_full = matrix_rank(conn_cols[:-1]) == len(conn)
 

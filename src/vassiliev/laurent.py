@@ -1,14 +1,17 @@
-"""Exact sparse polynomials: one ring kernel and its three variants.
+"""Exact sparse polynomials: one ring kernel and its variants.
 
-`SparsePoly` is a dict from monomial keys to nonzero `Fraction`
-coefficients with the ring operations, equality, hashing and printing.
-A subclass supplies only its monomial product, its unit monomial, how a
-monomial prints as (name, exponent) factors, and its print order.
+`SparsePoly` is a dict from monomial keys to nonzero exact coefficients
+(`int` or `Fraction`) with the ring operations, equality, hashing and
+printing.  A subclass supplies only its monomial product, its unit
+monomial, how a monomial prints as (name, exponent) factors, and its
+print order.
 
 `Laurent1` (keys: int exponents) and `Laurent2` (keys: (int, int))
 carry weight-system values (variable N), bracket/Jones polynomials
 (variables A, t, q) and the two-variable skein polynomial (variables
-a, z).  `formal.MultiPoly` is the same ring over named symbols.
+a, z).  `formal.MultiPoly` is the same ring over named symbols, and
+`diagrams.DiagramSum` the same sums keyed by canonical diagrams, whose
+4T and STU coefficients stay `int`.
 """
 
 from __future__ import annotations
@@ -20,13 +23,14 @@ _ONE = Fraction(1)
 
 
 class SparsePoly:
-    """Sparse polynomial with `Fraction` coefficients.
+    """Sparse polynomial with exact coefficients.
 
-    `coeffs` maps each monomial key to its nonzero coefficient; `names`
-    holds the variable names used by the printer.  Subclasses set
-    `_UNIT` (the key of the constant monomial), `_DESCENDING` (print
-    order) and define `_mono_mul(m1, m2)` (the product of two keys) and
-    `_factors(m)` (the (name, exponent) pairs a key prints as).
+    `coeffs` maps each monomial key to its nonzero `int` or `Fraction`
+    coefficient; `names` holds the variable names used by the printer.
+    Subclasses set `_UNIT` (the key of the constant monomial),
+    `_DESCENDING` (print order) and define `_mono_mul(m1, m2)` (the
+    product of two keys) and `_factors(m)` (the (name, exponent) pairs a
+    key prints as).
     """
 
     __slots__ = ("coeffs", "names")
@@ -44,7 +48,7 @@ class SparsePoly:
                     self.coeffs[m] = c
 
     def _new(self, coeffs: dict):
-        """Same class and variables; `coeffs` must hold nonzero Fractions."""
+        """Same class and variables; `coeffs` must hold nonzero values."""
         out = object.__new__(type(self))
         out.coeffs = coeffs
         out.names = self.names
@@ -183,7 +187,7 @@ class Laurent1(SparsePoly):
             if len(self.coeffs) != 1:
                 raise ValueError("cannot invert a non-monomial")
             ((e, c),) = self.coeffs.items()
-            return self._new({-e: 1 / c}) ** (-n)
+            return self._new({-e: _ONE / c}) ** (-n)
         return super().__pow__(n)
 
     def substitute_monomial(self, k: int, var: str | None = None) -> "Laurent1":

@@ -4,13 +4,15 @@ Everything here works over exact rationals (or integer-scaled rows); no
 floating point.  There are two kernels: `SparseEliminator`, incremental
 integer row reduction for the few thousand sparse 4T relation rows, and
 `rref`, dense Fraction Gauss-Jordan for the small systems (order <= ~10)
-behind solving, rank, determinants and inverses.
+behind solving, rank, determinants and inverses.  Inserting a row,
+reducing a vector and back substitution are one integer row operation,
+`_cancel`, on rows scaled to integers once (`_integer_row`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
@@ -29,10 +31,17 @@ def _normalize_int_row(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
+def _integer_row(row: dict[int, Fraction | int]) -> tuple[dict[int, int], int]:
+    """(denom * row, denom) for the least denom making every entry an
+    integer; zero entries are dropped."""
+    denom = lcm(*(v.denominator for v in row.values()))
+    return {c: int(v * denom) for c, v in row.items() if v}, denom
+
+
 def _cancel(row: dict[int, int], piv: dict[int, int],
             col: int) -> dict[int, int]:
-    """piv[col]*row - row[col]*piv, gcd-normalized: an integer row with
-    no entry in column `col`."""
+    """piv[col]*row - row[col]*piv: an integer row with no entry in
+    column `col`."""
     a, b = piv[col], row[col]
     new = {c: a * v for c, v in row.items()}
     for c, v in piv.items():
@@ -41,7 +50,7 @@ def _cancel(row: dict[int, int], piv: dict[int, int],
             new[c] = w
         elif c in new:
             del new[c]
-    return _normalize_int_row(new)
+    return new
 
 
 class SparseEliminator:
@@ -50,8 +59,8 @@ class SparseEliminator:
     Rows are dicts column -> int.  Pivot rows are kept integer (gcd
     normalized); each pivot owns one column.  After feeding all rows,
     `rank` is the row-space dimension and `reduce` maps any rational
-    vector to its residual modulo the row space (deterministically,
-    given the insertion order).
+    vector to its residual modulo the row space (the unique one
+    supported off the pivot columns).
     """
 
     def __init__(self) -> None:
@@ -63,49 +72,35 @@ class SparseEliminator:
 
     def add_row(self, row: dict[int, Fraction | int]) -> bool:
         """Insert a row; returns True if it increased the rank."""
-        # scale to integers
-        denom = 1
-        for v in row.values():
-            if isinstance(v, Fraction):
-                denom = denom * v.denominator // gcd(denom, v.denominator)
-        irow = {c: int(v * denom) for c, v in row.items() if v != 0}
-        irow = self._eliminate(irow)
-        if not irow:
-            return False
-        irow = _normalize_int_row(irow)
-        self.pivots[min(irow)] = irow
-        return True
-
-    def _eliminate(self, row: dict[int, int]) -> dict[int, int]:
+        row = _integer_row(row)[0]
         while row:
             lead = min(row)
             piv = self.pivots.get(lead)
             if piv is None:
-                return row
-            row = _cancel(row, piv, lead)
-        return row
+                self.pivots[lead] = _normalize_int_row(row)
+                return True
+            row = _normalize_int_row(_cancel(row, piv, lead))
+        return False
 
-    def reduce(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+    def reduce(self, vec: dict[int, Fraction | int]) -> dict[int, Fraction]:
         """Residual of `vec` modulo the accumulated row space.
 
-        Eliminates the smallest reducible column first; each step only
-        introduces larger columns, so this terminates with a residual
-        supported away from all pivot columns.
+        Scales `vec` to an integer row once, then cancels the smallest
+        pivot column it meets, multiplying the denominator by that
+        pivot's lead; each step only introduces larger columns, so this
+        terminates with a residual supported away from all pivot
+        columns.  That residual is unique, so it does not depend on
+        whether `back_substitute` ran.
         """
-        vec = {c: Fraction(v) for c, v in vec.items() if v != 0}
+        row, denom = _integer_row(vec)
+        pivots = self.pivots
         while True:
-            cols = [c for c in vec if c in self.pivots]
-            if not cols:
-                return vec
-            col = min(cols)
-            piv = self.pivots[col]
-            factor = vec[col] / piv[col]
-            for c, v in piv.items():
-                w = vec.get(c, Fraction(0)) - factor * v
-                if w:
-                    vec[c] = w
-                elif c in vec:
-                    del vec[c]
+            col = min((c for c in row if c in pivots), default=None)
+            if col is None:
+                return {c: Fraction(v, denom) for c, v in row.items()}
+            piv = pivots[col]
+            denom *= piv[col]
+            row = _cancel(row, piv, col)
 
     def back_substitute(self) -> None:
         """Fully reduce pivot rows against each other (RREF form)."""
@@ -116,7 +111,8 @@ class SparseEliminator:
             for col2 in cols[:k]:
                 row = self.pivots[col2]
                 if col in row:
-                    self.pivots[col2] = _cancel(row, piv, col)
+                    self.pivots[col2] = _normalize_int_row(
+                        _cancel(row, piv, col))
 
 
 def rref(matrix: list[list], ncols: int | None = None

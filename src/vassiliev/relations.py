@@ -252,16 +252,17 @@ class QuotientSpace:
                 self.eliminator.add_row(row)
         self.eliminator.back_substitute()
 
-    def _vector(self, s: DiagramSum) -> dict[int, Fraction]:
-        vec: dict[int, Fraction] = {}
+    def _vector(self, s: DiagramSum) -> dict[int, int | Fraction]:
+        # distinct canonical keys have distinct columns: no re-accumulation
+        vec: dict[int, int | Fraction] = {}
         for d, c in s.terms.items():
             idx = self.index.get(d)
             if idx is None:
                 if has_isolated_chord(d):
                     continue  # killed in the reduced quotient
                 raise KeyError(f"not a degree-{self.degree} chord diagram: {d}")
-            vec[idx] = vec.get(idx, Fraction(0)) + c
-        return {c: v for c, v in vec.items() if v}
+            vec[idx] = c
+        return vec
 
     @property
     def dimension(self) -> int:

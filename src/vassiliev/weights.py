@@ -195,9 +195,6 @@ def weight_product_group(d: Diagram, marks: tuple[str, str] = ("G", "G'"),
         new: dict[tuple[int, int], MultiPoly] = {}
         for (a, b), poly in out.items():
             for key, val in (((a + i, b), poly * g), ((a, b + i), poly * gp)):
-                if key in new:
-                    new[key] = new[key] + val
-                else:
-                    new[key] = val
+                new[key] = new.get(key, 0) + val
         out = new
     return out

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -204,6 +205,70 @@ def test_diagram_sum_drops_zero_and_signs():
     anti = Diagram(3, 1, [(0, 3), (1, 5), (2, 4)])
     s = DiagramSum([(TRIPOD, 1), (anti, 1)])  # tripod - tripod
     assert not s
+
+
+def _reference_sum(pairs):
+    """Plain-dict linear combination: canonical diagram -> coefficient."""
+    out = {}
+    for d, c in pairs:
+        sd = canonicalize(d)
+        v = out.get(sd.diagram, 0) + sd.sign * c
+        if v:
+            out[sd.diagram] = v
+        else:
+            out.pop(sd.diagram, None)
+    return out
+
+
+def _reference_text(ref):
+    if not ref:
+        return "DiagramSum(0)"
+    return "DiagramSum(" + " + ".join(
+        f"{c} * {serialize(d)}"
+        for d, c in sorted(ref.items(), key=lambda kv: canonical_key(kv[0]))
+    ) + ")"
+
+
+def test_diagram_sum_matches_dict_reference():
+    rng = random.Random(17)
+    scalars = [-2, -1, 1, 3, Fraction(1, 2), Fraction(-3, 4)]
+    for deg in (3, 4, 5):
+        # a small pool of diagrams and their relabellings, so that keys
+        # collide and terms cancel
+        pool = [random_diagram(rng, deg) for _ in range(4)]
+        pool += [_relabelled(rng, d)[0] for d in pool]
+        for integral in (True, False):
+            coeffs = [k for k in scalars if type(k) is int or not integral]
+            parts = [[(rng.choice(pool), rng.choice(coeffs))
+                      for _ in range(rng.randint(0, 6))] for _ in range(3)]
+            sums = [DiagramSum(p) for p in parts]
+            refs = [_reference_sum(p) for p in parts]
+            a, b, c = sums
+            ra, rb, rc = refs
+            assert [s.terms for s in sums] == refs
+            assert (a + b).terms == _reference_sum(parts[0] + parts[1])
+            assert (a - b).terms == _reference_sum(
+                parts[0] + [(d, -k) for d, k in parts[1]])
+            assert sum(sums).terms == _reference_sum(
+                parts[0] + parts[1] + parts[2])
+            for k in (2, -1, Fraction(2, 3), 0):
+                scaled = {d: v * k for d, v in ra.items()} if k else {}
+                assert (a * k).terms == scaled and (k * a).terms == scaled
+            assert (a == DiagramSum(list(ra.items()))) and not (a - a)
+            assert (a == b) == (ra == rb) and bool(c) == bool(rc)
+            for s, r in zip(sums, refs):
+                assert repr(s) == str(s) == _reference_text(r)
+            if integral:
+                total = a + b - c * 2
+                assert all(type(v) is int for v in total.terms.values())
+    low = DiagramSum([(random_diagram(rng, 3), 1)])
+    high = DiagramSum([(random_diagram(rng, 4), 1)])
+    for op in (lambda: low + high, lambda: high - low,
+               lambda: sum([low, high])):
+        with pytest.raises(ValueError):
+            op()
+    with pytest.raises(TypeError):
+        hash(low)
 
 
 def _relabelled(rng, d):

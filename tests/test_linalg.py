@@ -5,7 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from vassiliev.linalg import determinant, invert, matrix_rank, rref, solve_dense
+from vassiliev.diagrams import chord_diagrams, has_isolated_chord
+from vassiliev.linalg import (
+    SparseEliminator,
+    determinant,
+    invert,
+    matrix_rank,
+    rref,
+    solve_dense,
+)
+from vassiliev.relations import four_t_relations, quotient_space
 
 
 def rand_matrix(rng, rows, cols, density=0.8):
@@ -127,3 +136,77 @@ def test_singular_and_inconsistent_systems():
     assert solve_dense([[1, 2], [2, 4]], [3, 7]) is None
     assert solve_dense([[1], [1]], [0, 1]) is None
     assert solve_dense([[1, 0], [0, 1], [1, 1]], [1, 2, 3]) == [1, 2]
+
+
+def _reference_reduce(pivots, vec):
+    """Residual modulo the pivot rows by a Fraction row loop: the
+    smallest pivot column is cancelled first."""
+    vec = {c: Fraction(v) for c, v in vec.items() if v != 0}
+    while True:
+        cols = [c for c in vec if c in pivots]
+        if not cols:
+            return vec
+        col = min(cols)
+        piv = pivots[col]
+        factor = vec[col] / piv[col]
+        for c, v in piv.items():
+            w = vec.get(c, Fraction(0)) - factor * v
+            if w:
+                vec[c] = w
+            elif c in vec:
+                del vec[c]
+
+
+def _residuals_before_and_after(elim, vecs):
+    """elim's residuals of vecs before and after back substitution, each
+    checked against the reference loop."""
+    out = []
+    for _ in range(2):
+        res = [elim.reduce(v) for v in vecs]
+        assert res == [_reference_reduce(elim.pivots, v) for v in vecs]
+        assert all(type(x) is Fraction for r in res for x in r.values())
+        out.append(res)
+        elim.back_substitute()
+    return out
+
+
+def test_sparse_eliminator_reduce_matches_reference():
+    rng = random.Random(23)
+
+    def sparse_row(ncols, integral):
+        row = {}
+        for c in rng.sample(range(ncols), rng.randint(1, 5)):
+            v = rng.randint(-3, 3)
+            row[c] = v if integral else Fraction(v, rng.randint(1, 4))
+        return row
+
+    for trial in range(30):
+        ncols = rng.randint(4, 24)
+        integral = trial % 2 == 0
+        rows = [sparse_row(ncols, integral)
+                for _ in range(rng.randint(1, ncols))]
+        elim = SparseEliminator()
+        for row in rows:
+            elim.add_row(row)
+        assert elim.rank == matrix_rank(
+            [[r.get(c, 0) for c in range(ncols)] for r in rows])
+        vecs = [sparse_row(ncols, rng.random() < 0.5) for _ in range(8)]
+        before, after = _residuals_before_and_after(elim, vecs)
+        assert before == after
+        assert all(c not in elim.pivots for r in after for c in r)
+
+
+def test_sparse_eliminator_quotient_residuals_match_reference():
+    # every chord diagram of degree <= 5 against its reduced quotient,
+    # on a fresh elimination of the 4T rows and on the cached quotient
+    for n in range(1, 6):
+        space = quotient_space(n, True)
+        vecs = [{space.index[d]: 1} for d in chord_diagrams(n)
+                if not has_isolated_chord(d)]
+        elim = SparseEliminator()
+        for rel in four_t_relations(n).relations:
+            row = space._vector(rel)
+            if row:
+                elim.add_row(row)
+        before, after = _residuals_before_and_after(elim, vecs)
+        assert before == after == [space.eliminator.reduce(v) for v in vecs]

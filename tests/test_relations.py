@@ -11,6 +11,7 @@ from vassiliev.diagrams import (
     chord_diagram,
     chord_diagrams,
     decompose,
+    one_vertex_diagrams,
     product,
     random_diagram,
     serialize,
@@ -176,6 +177,17 @@ def test_four_t_relations_vanish_in_quotient():
         for rel in rels.relations:
             assert all(t.degree == degree for t in rel.terms)
             assert space.is_zero(rel)
+
+
+def test_relation_and_reduction_coefficients_are_integers():
+    # STU, IHX and 4T have +-1 coefficients: no Fraction enters the
+    # relation layer
+    for n in range(2, 7):
+        for rel in four_t_relations(n).relations:
+            assert all(type(c) is int for c in rel.terms.values())
+        for d in one_vertex_diagrams(n):
+            assert all(type(c) is int
+                       for c in reduce_to_chords(d).terms.values())
 
 
 # --------------------------------------------------------------------------
