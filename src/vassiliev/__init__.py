@@ -109,17 +109,24 @@ from .factorization import (
     verify_factorization,
 )
 
-from . import basis, diagrams, knot_table, knots, relations, weights
+import sys
+
+from . import diagrams, knots
 
 __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every module-level cache; values are recomputed on demand."""
-    for cache in (diagrams._CANON_CACHE, diagrams._CHORD_CACHE,
-                  diagrams._ONE_VERTEX_CACHE, relations._REDUCE_CACHE,
-                  relations._RELATION_CACHE, relations._QUOTIENT_CACHE,
-                  basis._BASIS_CACHE, knots._HOMFLY_MEMO,
-                  weights._CYCLE_COUNTS, weights._DEFRAMED_CACHE):
-        cache.clear()
-    knot_table._TABLE = None
+    """Empty every cache of the package; values are recomputed on demand.
+
+    Clears each `functools.cache` that a loaded submodule defines, and the
+    two dict caches: `diagrams._CANON_CACHE` (seeded by enumeration) and
+    `knots._HOMFLY_MEMO` (keyed by a skein state's canonical code).
+    """
+    diagrams._CANON_CACHE.clear()
+    knots._HOMFLY_MEMO.clear()
+    for name, module in list(sys.modules.items()):
+        if name.startswith(__name__ + "."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear") and obj.__module__ == name:
+                    obj.cache_clear()

@@ -15,12 +15,14 @@ canonical basis (block structure and non-singularity).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import diagrams as _diagrams_mod
+from . import laurent as _laurent_mod
 from . import linalg as _linalg_mod
 from . import relations as _relations_mod
 from .diagrams import (
@@ -59,6 +61,11 @@ class BasisElement:
     @property
     def composite(self) -> bool:
         return len(self.components) > 1
+
+    @property
+    def kind(self) -> str:
+        return ("unit" if not self.components
+                else "connected" if self.connected else "composite")
 
 
 @dataclass(frozen=True)
@@ -115,7 +122,7 @@ def _code_version() -> str:
     """Hash of the source that decides which basis gets built."""
     h = hashlib.sha256()
     for path in (_diagrams_mod.__file__, _relations_mod.__file__,
-                 _linalg_mod.__file__, __file__):
+                 _linalg_mod.__file__, _laurent_mod.__file__, __file__):
         with open(path, "rb") as fh:
             h.update(fh.read())
     return h.hexdigest()[:16]
@@ -221,13 +228,9 @@ def canonical_basis(max_degree: int) -> CanonicalBasis:
     return CanonicalBasis(max_degree, by_degree, residuals, version)
 
 
-_BASIS_CACHE: dict[int, CanonicalBasis] = {}
-
-
+@functools.cache
 def shared_basis(max_degree: int) -> CanonicalBasis:
-    if max_degree not in _BASIS_CACHE:
-        _BASIS_CACHE[max_degree] = canonical_basis(max_degree)
-    return _BASIS_CACHE[max_degree]
+    return canonical_basis(max_degree)
 
 
 # --------------------------------------------------------------------------
@@ -458,10 +461,8 @@ def _serialize_body(max_degree: int, by_degree: dict[int, list[BasisElement]]) -
         dhat = sum(1 for e in elems if e.connected)
         lines.append(f"degree {i}: d={len(elems)} dhat={dhat}")
         for e in elems:
-            kind = ("unit" if not e.components
-                    else "connected" if e.connected else "composite")
             comps = " ".join(f"{a}.{b}" for a, b in e.components)
-            lines.append(f"element {i} {e.index}: {kind} | {comps} | "
+            lines.append(f"element {i} {e.index}: {e.kind} | {comps} | "
                          f"{serialize(e.diagram)}")
     return "\n".join(lines) + "\n"
 

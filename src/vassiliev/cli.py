@@ -151,10 +151,8 @@ def cmd_basis(args) -> int:
     rows = []
     for i in range(args.max_degree + 1):
         for e in basis.elements(i):
-            kind = ("unit" if not e.components else
-                    "connected" if e.connected else "composite")
             rows.append({
-                "degree": i, "index": e.index, "kind": kind,
+                "degree": i, "index": e.index, "kind": e.kind,
                 "components": " ".join(f"{a}.{b}" for a, b in e.components),
                 "diagram": serialize(e.diagram),
             })

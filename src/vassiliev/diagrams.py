@@ -31,6 +31,7 @@ classes, the 4T sources.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -566,15 +567,11 @@ def _classes(L: int, T: int, partner_lists) -> list[Diagram]:
     return out
 
 
-_CHORD_CACHE: dict[int, list[Diagram]] = {}
-
-
+@functools.cache
 def chord_diagrams(n: int) -> list[Diagram]:
     """All canonical chord diagrams of degree n, sorted; built from the
     codes of all matchings, one Diagram per class."""
-    if n not in _CHORD_CACHE:
-        _CHORD_CACHE[n] = _classes(2 * n, 0, _matchings(2 * n))
-    return _CHORD_CACHE[n]
+    return _classes(2 * n, 0, _matchings(2 * n))
 
 
 def _merged_legs(n: int):
@@ -601,9 +598,7 @@ def _merged_legs(n: int):
             yield partner
 
 
-_ONE_VERTEX_CACHE: dict[int, list[Diagram]] = {}
-
-
+@functools.cache
 def one_vertex_diagrams(n: int) -> list[Diagram]:
     """Canonical degree-n diagrams with exactly one internal vertex.
 
@@ -614,9 +609,7 @@ def one_vertex_diagrams(n: int) -> list[Diagram]:
     (`_merged_legs`).  This inverts the STU resolution at that leg, so
     every class arises.
     """
-    if n not in _ONE_VERTEX_CACHE:
-        _ONE_VERTEX_CACHE[n] = _classes(2 * n - 1, 1, _merged_legs(n))
-    return _ONE_VERTEX_CACHE[n]
+    return _classes(2 * n - 1, 1, _merged_legs(n))
 
 
 def _connected_multigraphs(T: int, E: int) -> list[tuple]:

@@ -14,6 +14,7 @@ mirror image (e.g. '3_1!').
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 
@@ -29,27 +30,18 @@ class KnotRecord:
     diagram: PlanarDiagram
 
 
-def _load() -> dict[str, KnotRecord]:
-    table: dict[str, KnotRecord] = {}
+@functools.cache
+def table() -> dict[str, KnotRecord]:
+    out: dict[str, KnotRecord] = {}
     data = resources.files("vassiliev").joinpath("data/knots.txt").read_text()
     for line in data.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         name, n, det, construction, pd = [p.strip() for p in line.split("|")]
-        table[name] = KnotRecord(name, int(n), int(det), construction,
-                                 parse_pd(pd))
-    return table
-
-
-_TABLE: dict[str, KnotRecord] | None = None
-
-
-def table() -> dict[str, KnotRecord]:
-    global _TABLE
-    if _TABLE is None:
-        _TABLE = _load()
-    return _TABLE
+        out[name] = KnotRecord(name, int(n), int(det), construction,
+                               parse_pd(pd))
+    return out
 
 
 def knot_names() -> list[str]:

@@ -545,6 +545,9 @@ def sun_slice(h: Laurent2, n: int) -> Laurent1:
     """su(N) fundamental one-variable slice: a = q^n, z = q - q^{-1}."""
     if n < 2:
         raise ValueError("rank must be at least 2")
+    if any(e2 < 0 for _, e2 in h.coeffs):
+        raise ValueError("the su(N) slice needs a knot: a link's skein "
+                         "polynomial has negative powers of z")
     q_n = Laurent1({n: 1}, var="q")
     z = Laurent1({1: 1, -1: -1}, var="q")
     return h.substitute(q_n, z)

@@ -16,6 +16,7 @@ quotients of the lower degrees, with no elimination of its own.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -157,9 +158,6 @@ def ihx(d: Diagram, edge: tuple[int, int]) -> DiagramSum:
 # reduction to chord diagrams
 
 
-_REDUCE_CACHE: dict[Diagram, DiagramSum] = {}
-
-
 def _first_resolvable(d: Diagram) -> tuple[int, int] | None:
     """Smallest leg whose edge ends on a vertex, with that vertex."""
     L = d.legs
@@ -180,18 +178,15 @@ def reduce_to_chords(d: Diagram) -> DiagramSum:
     return _reduce_canonical(sd.diagram) * sd.sign
 
 
+@functools.cache
 def _reduce_canonical(d: Diagram) -> DiagramSum:
     if d.vertices == 0:
         return DiagramSum([(d, 1)])
-    cached = _REDUCE_CACHE.get(d)
-    if cached is not None:
-        return cached
     pick = _first_resolvable(d)
     if pick is None:
         raise ValueError("no vertex adjacent to the circle")
     leg, v = pick
-    out = _REDUCE_CACHE[d] = stu(d, v, leg).map_terms(_reduce_canonical)
-    return out
+    return stu(d, v, leg).map_terms(_reduce_canonical)
 
 
 # --------------------------------------------------------------------------
@@ -206,15 +201,11 @@ class RelationSet:
     relations: tuple[DiagramSum, ...]
 
 
-_RELATION_CACHE: dict[int, RelationSet] = {}
-
-
+@functools.cache
 def four_t_relations(degree: int) -> RelationSet:
     """The 4T relations of a degree, generated as STU-resolution
     differences of every one-vertex diagram (single source of truth:
     nothing is hand-coded)."""
-    if degree in _RELATION_CACHE:
-        return _RELATION_CACHE[degree]
     rels = []
     for src in one_vertex_diagrams(degree):
         legs = _leg_partners(src, 0)
@@ -223,9 +214,7 @@ def four_t_relations(degree: int) -> RelationSet:
             diff = resolutions[0] - other
             if diff:
                 rels.append(diff)
-    out = RelationSet(degree, tuple(rels))
-    _RELATION_CACHE[degree] = out
-    return out
+    return RelationSet(degree, tuple(rels))
 
 
 # --------------------------------------------------------------------------
@@ -301,30 +290,16 @@ class FramedQuotientSpace(QuotientSpace):
     the sum over |J| = n-k of the reduced residual of D_J (0 when D_J has
     an isolated chord), and `residual` returns {(k, column): x}.  Each
     class is built from the degree-(n-1) classes of D minus one chord,
-    which count every J with |J| = n-k exactly k times, and memoized.
-    No 4T row is eliminated here.
+    which count every J with |J| = n-k exactly k times (`_framed_class`,
+    memoized per chord diagram).  No 4T row is eliminated here.
     """
 
     def __init__(self, degree: int):
         self.degree = degree
-        self._classes: dict[Diagram, dict[tuple[int, int], Fraction]] = {}
 
     @property
     def dimension(self) -> int:
         return sum(quotient_space(k).dimension for k in range(self.degree + 1))
-
-    def _class(self, d: Diagram) -> dict[tuple[int, int], Fraction]:
-        if d in self._classes:
-            return self._classes[d]
-        out = {(0, c): x for c, x in
-               quotient_space(self.degree).residual(d).items()}
-        if self.degree:
-            lower = quotient_space(self.degree - 1, False)
-            for a, b in d.edges:
-                for (k, c), x in lower._class(_drop_chord(d, a, b)).items():
-                    out[(k + 1, c)] = out.get((k + 1, c), 0) + x / (k + 1)
-        self._classes[d] = out = {key: x for key, x in out.items() if x}
-        return out
 
     def residual(self, s: DiagramSum | Diagram) -> dict:
         """The class of s as {(theta power k, reduced column): x}."""
@@ -334,22 +309,31 @@ class FramedQuotientSpace(QuotientSpace):
         for d, c in s.terms.items():
             if d.vertices or d.degree != self.degree:
                 raise KeyError(f"not a degree-{self.degree} chord diagram: {d}")
-            for key, x in self._class(d).items():
+            for key, x in _framed_class(d).items():
                 out[key] = out.get(key, 0) + c * x
         return {key: x for key, x in out.items() if x}
 
 
-_QUOTIENT_CACHE: dict[tuple[int, bool], QuotientSpace] = {}
+@functools.cache
+def _framed_class(d: Diagram) -> dict[tuple[int, int], Fraction]:
+    """Framed class of a canonical chord diagram, {(k, column): x}."""
+    out = {(0, c): x for c, x in quotient_space(d.degree).residual(d).items()}
+    for a, b in d.edges:
+        for (k, c), x in _framed_class(_drop_chord(d, a, b)).items():
+            out[(k + 1, c)] = out.get((k + 1, c), 0) + x / (k + 1)
+    return {key: x for key, x in out.items() if x}
 
 
 def quotient_space(degree: int, reduced: bool = True) -> QuotientSpace:
     """The degree's chord-diagram quotient: reduced (4T and isolated
     chords) or framed (4T alone, built from the reduced ones)."""
-    key = (degree, reduced)
-    if key not in _QUOTIENT_CACHE:
-        _QUOTIENT_CACHE[key] = (QuotientSpace if reduced
-                                else FramedQuotientSpace)(degree)
-    return _QUOTIENT_CACHE[key]
+    return _quotient_space(degree, bool(reduced))
+
+
+@functools.cache
+def _quotient_space(degree: int, reduced: bool) -> QuotientSpace:
+    # one positional key per (degree, reduced), whatever the call shape
+    return (QuotientSpace if reduced else FramedQuotientSpace)(degree)
 
 
 def dimension(degree: int, reduced: bool = True) -> int:

@@ -29,6 +29,7 @@ All three are read off one cached table of (|J|, cyc(D - J)) counts.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,19 +64,14 @@ class WeightConfig:
 
 DEFAULT_CONFIG = WeightConfig()
 
-_CYCLE_COUNTS: dict[Diagram, dict[tuple[int, int], int]] = {}
-_DEFRAMED_CACHE: dict[tuple[Diagram, Fraction], Laurent1] = {}
 
-
+@functools.cache
 def _cycle_counts(d: Diagram) -> dict[tuple[int, int], int]:
     """Chord diagram D -> {(|J|, cyc(D - J)): number of chord subsets J}.
 
     Arc a runs from leg a to leg a + 1; the walk leaves it at leg a + 1,
     straight on if that leg's chord is in J, else across the chord.
     """
-    counts = _CYCLE_COUNTS.get(d)
-    if counts is not None:
-        return counts
     L = d.legs
     partner = [0] * L
     chord_bit = [0] * L
@@ -97,7 +93,6 @@ def _cycle_counts(d: Diagram) -> dict[tuple[int, int], int]:
                     a = step[a]
         key = (state.bit_count(), cycles)
         counts[key] = counts.get(key, 0) + 1
-    _CYCLE_COUNTS[d] = counts
     return counts
 
 
@@ -152,13 +147,14 @@ def weight_sun_deframed(d: Diagram, cfg: WeightConfig = DEFAULT_CONFIG) -> Laure
     isolated-chord ideal while still satisfying 4T, so it descends to the
     reduced quotient and matches the coefficients of unknot-normalized
     (framing-independent) knot invariants.  Memoized per diagram and
-    normalization.
+    normalization (`_deframed`; the algebra does not enter).
     """
-    key = (d, cfg.normalization)
-    out = _DEFRAMED_CACHE.get(key)
-    if out is None:
-        out = _DEFRAMED_CACHE[key] = _weight(d, cfg, deframed=True)
-    return out
+    return _deframed(d, cfg.normalization)
+
+
+@functools.cache
+def _deframed(d: Diagram, normalization: Fraction) -> Laurent1:
+    return _weight(d, WeightConfig(normalization), deframed=True)
 
 
 def weight_sun_deframed_at(d: Diagram, n: int,

@@ -334,7 +334,7 @@ def test_basis_cache_rejects_other_code_version(tmp_path, basis4):
 
 
 @pytest.mark.parametrize("module", ["diagrams", "relations", "linalg",
-                                    "basis"])
+                                    "laurent", "basis"])
 def test_basis_code_version_covers_module(tmp_path, monkeypatch, module):
     mod = importlib.import_module(f"vassiliev.{module}")
     before = _code_version()

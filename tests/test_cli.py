@@ -159,6 +159,15 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
 
 
+def test_link_extract_and_verify_exit_2(capsys):
+    # a link's skein polynomial has no su(N) slice in Laurent q
+    for command in ("extract", "verify"):
+        code, out, err = run_cli(capsys, command, "--braid", "2:1,1",
+                                 "--max-degree", "4")
+        assert code == 2 and not out, command
+        assert err.startswith("error: the su(N) slice needs a knot"), err
+
+
 def test_pd_arc_joining_two_out_ports_exit_2(capsys):
     code, out, err = run_cli(capsys, "homfly", "--pd", "X(1,4,2,3) X(3,2,4,1)")
     assert code == 2 and not out and "arc 2" in err

@@ -258,8 +258,9 @@ def test_framed_class_shifts_under_theta():
 def test_framed_quotient_eliminates_no_rows(monkeypatch):
     for degree in range(5):
         quotient_space(degree, True)
-    monkeypatch.setattr(relations, "_QUOTIENT_CACHE", {
-        key: q for key, q in relations._QUOTIENT_CACHE.items() if key[1]})
+    # a fresh framed space whose classes start from an empty memo
+    monkeypatch.setattr(relations, "_framed_class", functools.cache(
+        relations._framed_class.__wrapped__))
     calls = []
     add_row = SparseEliminator.add_row
 
@@ -268,7 +269,8 @@ def test_framed_quotient_eliminates_no_rows(monkeypatch):
         return add_row(self, row)
 
     monkeypatch.setattr(SparseEliminator, "add_row", counting)
-    space = quotient_space(4, False)
+    space = relations.FramedQuotientSpace(4)
     assert space.dimension == 6
     assert all(space.is_zero(rel) for rel in four_t_relations(4).relations)
+    assert relations._framed_class.cache_info().currsize > 0
     assert calls == []

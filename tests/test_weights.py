@@ -1,11 +1,14 @@
 import functools
+import importlib
 import itertools
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
-from vassiliev import clear_caches, weights
+import vassiliev
+from vassiliev import clear_caches, diagrams, knots, weights
 from vassiliev.diagrams import (
     EMPTY,
     Diagram,
@@ -17,9 +20,18 @@ from vassiliev.diagrams import (
     random_diagram,
     serialize,
 )
+from vassiliev.basis import shared_basis
+from vassiliev.knot_table import knot
 from vassiliev.laurent import Laurent1
-from vassiliev.relations import ihx, internal_edges, reduce_to_chords, stu
+from vassiliev.relations import (
+    ihx,
+    internal_edges,
+    quotient_space,
+    reduce_to_chords,
+    stu,
+)
 from vassiliev.weights import (
+    DEFAULT_CONFIG,
     WeightConfig,
     check_multiplicativity,
     weight_product_group,
@@ -350,5 +362,37 @@ def test_weights_unchanged_after_clear_caches():
     d = random_diagram(random.Random(48), 5)
     before = (weight_sun(d, CFG), weight_sun_deframed(d, CFG))
     clear_caches()
-    assert not weights._CYCLE_COUNTS and not weights._DEFRAMED_CACHE
+    assert weights._cycle_counts.cache_info().currsize == 0
+    assert weights._deframed.cache_info().currsize == 0
     assert (weight_sun(d, CFG), weight_sun_deframed(d, CFG)) == before
+
+
+def test_one_cache_entry_per_value():
+    # the public functions forward positional keys to cached kernels, so
+    # every call shape of one value shares one entry
+    assert quotient_space(5) is quotient_space(5, True) \
+        is quotient_space(5, reduced=True)
+    d = random_diagram(random.Random(49), 4)
+    assert weight_sun_deframed(d) is weight_sun_deframed(d, DEFAULT_CONFIG)
+
+
+def test_clear_caches_empties_every_cache():
+    # clear_caches finds the functools caches itself: every one defined in
+    # a submodule is filled here and must come back empty
+    caches = []
+    for info in pkgutil.iter_modules(vassiliev.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"vassiliev.{info.name}")
+            caches += [(f"{info.name}.{name}", obj)
+                       for name, obj in vars(module).items()
+                       if hasattr(obj, "cache_info")
+                       and obj.__module__ == module.__name__]
+    shared_basis(3)
+    quotient_space(3, False).residual(chord_diagrams(3)[0])
+    weight_sun_deframed(random_diagram(random.Random(50), 3))
+    knots.homfly(knot("3_1"))
+    assert [name for name, c in caches if not c.cache_info().currsize] == []
+    assert diagrams._CANON_CACHE and knots._HOMFLY_MEMO
+    clear_caches()
+    assert [name for name, c in caches if c.cache_info().currsize] == []
+    assert not diagrams._CANON_CACHE and not knots._HOMFLY_MEMO
