@@ -18,6 +18,7 @@ the slice substitution.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -194,11 +195,18 @@ def derive_composite_identities(basis: CanonicalBasis,
     matching is triangular in the composite factors and every monomial
     is verified after substitution.  With framing=True the basis is
     extended by the degree-1 quadratic-Casimir element whose factor is
-    the framing variable.
+    the framing variable.  The identities depend on the basis only, so
+    they are derived once per (basis, max_degree, framing).
     """
     K = basis.max_degree if max_degree is None else max_degree
     if K > basis.max_degree:
         raise ValueError("max_degree exceeds the basis")
+    return list(_composite_identities(basis, K, framing))
+
+
+@functools.cache
+def _composite_identities(basis: CanonicalBasis, K: int, framing: bool
+                          ) -> tuple[CompositeIdentity, ...]:
     labels = _connected_labels(basis, K, framing)
     multisets = multisets_up_to(labels, K)
     normal = _normal_forms(multisets)
@@ -280,7 +288,7 @@ def derive_composite_identities(basis: CanonicalBasis,
         poly = normal[m]
         ((mono, coeff),) = poly.coeffs.items()
         out.append(CompositeIdentity(m, coeff))
-    return out
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------

@@ -406,65 +406,98 @@ class _OrientedState:
         return _OrientedState(signs, wiring, self.loops + loops)
 
     def canonical_code(self) -> tuple:
-        """Label-independent code: minimum over walk starting points."""
+        """Label-independent code, the skein memo key: the least walk code
+        over every starting out-port.
+
+        A code starts with the token ("n", sign, port) of the arrival
+        `wiring[start]`, so only starts whose arrival has the least
+        (sign, port) are traced, and each trace stops at its first token
+        above the least code so far (`_trace`).  Neither drops a start
+        that could reach the least code, so the code is that minimum.
+        """
         outs = self.out_ports()
         if not outs:
             return ("loops", self.loops)
+        wiring, signs = self.wiring, self.signs
+        firsts = [(signs[wiring[s][0]], wiring[s][1]) for s in outs]
+        least = min(firsts)
         best = None
-        for start in outs:
-            code = self._trace_code(start)
-            if best is None or code < best:
-                best = code
+        for start, first in zip(outs, firsts):
+            if first == least:
+                best = self._trace_code(start, best) or best
         return best + ("loops", self.loops)
 
-    def _trace_code(self, start) -> tuple:
+    def _trace_code(self, start, bound=None):
+        """Walk code from out-port `start`; None once it exceeds `bound`."""
         disc: dict[int, int] = {}
         tokens: list = []
         seen_out: set = set()
-        self._trace(start, disc, tokens, seen_out)
-        return self._finish_code(disc, tokens, seen_out)
+        bound = self._trace(start, disc, tokens, seen_out, bound)
+        if bound is False:
+            return None
+        return self._finish_code(disc, tokens, seen_out, bound)
 
-    def _trace(self, start, disc, tokens, seen_out) -> None:
-        """Walk one component from out-port `start`, appending a token per
-        arrival and numbering crossings in discovery order."""
-        cur = start
+    def _trace(self, start, disc, tokens, seen_out, bound=None, lead=None):
+        """Walk one component from out-port `start`, appending `lead` (if
+        any) and then a token per arrival, numbering crossings in
+        discovery order.
+
+        `bound` is a code whose prefix `tokens` equals, or None: each new
+        token is compared with the bound's at its index.  Returns the
+        bound for the tokens that follow, None once a token is smaller,
+        or False (the walk stops) once one is greater.  All codes of a
+        state have one length, so a code that completes is <= the bound.
+        """
+        wiring, signs = self.wiring, self.signs
+        cur, token = start, lead
         while True:
+            if token is not None:
+                if bound is not None and token != bound[len(tokens)]:
+                    if token > bound[len(tokens)]:
+                        return False
+                    bound = None
+                tokens.append(token)
+            if cur is None:
+                return bound
             seen_out.add(cur)
-            k, p = self.wiring[cur]
+            k, p = wiring[cur]
             if k not in disc:
                 disc[k] = len(disc)
-                tokens.append(("n", self.signs[k], p))
+                token = ("n", signs[k], p)
             else:
-                tokens.append(("o", disc[k], p))
+                token = ("o", disc[k], p)
             cur = (k, p ^ 2)
             if cur == start:
-                return
+                cur = None
 
-    def _finish_code(self, disc, tokens, seen_out) -> tuple:
+    def _finish_code(self, disc, tokens, seen_out, bound=None):
         # further components: start from the smallest unvisited out-port
         # of an already-discovered crossing
-        while True:
-            cands = [
-                (disc[k], pp) for (k, pp) in self.out_ports()
-                if k in disc and (k, pp) not in seen_out]
+        outs = self.out_ports()
+        while len(seen_out) < len(outs):
+            cands = [(disc[k], pp) for (k, pp) in outs
+                     if k in disc and (k, pp) not in seen_out]
             if not cands:
                 break
             d_id, pp = min(cands)
             k = list(disc)[d_id]  # disc numbers crossings in insertion order
-            tokens.append(("c", d_id, pp))
-            self._trace((k, pp), disc, tokens, seen_out)
-        remaining = [x for x in self.out_ports() if x not in seen_out]
-        if not remaining:
+            bound = self._trace((k, pp), disc, tokens, seen_out, bound,
+                                ("c", d_id, pp))
+            if bound is False:
+                return None
+        if len(seen_out) == len(outs):
             return tuple(tokens)
-        # split diagram: minimize over every entry point of the rest
+        # split diagram: minimize over every entry point of the rest; a
+        # completed tail becomes the bound of the next ones
         best = None
-        for cand in remaining:
-            disc2, tokens2, seen2 = dict(disc), list(tokens), set(seen_out)
-            tokens2.append(("s",))
-            self._trace(cand, disc2, tokens2, seen2)
-            tail = self._finish_code(disc2, tokens2, seen2)
-            if best is None or tail < best:
-                best = tail
+        for cand in outs:
+            if cand not in seen_out:
+                disc2, tokens2, seen2 = dict(disc), list(tokens), set(seen_out)
+                rest = self._trace(cand, disc2, tokens2, seen2, bound, ("s",))
+                if rest is not False:
+                    tail = self._finish_code(disc2, tokens2, seen2, rest)
+                    if tail is not None:
+                        best = bound = tail
         return best
 
     def to_planar(self) -> PlanarDiagram:

@@ -175,18 +175,23 @@ def reduce_to_chords(d: Diagram) -> DiagramSum:
     sd = canonicalize(d)
     if sd.sign == 0:
         return DiagramSum()
-    return _reduce_canonical(sd.diagram) * sd.sign
+    return _reduce(sd.diagram) * sd.sign
+
+
+def _reduce(d: Diagram) -> DiagramSum:
+    """A chord diagram is its own reduction; it is not cached."""
+    if d.vertices == 0:
+        return DiagramSum([(d, 1)])
+    return _reduce_canonical(d)
 
 
 @functools.cache
 def _reduce_canonical(d: Diagram) -> DiagramSum:
-    if d.vertices == 0:
-        return DiagramSum([(d, 1)])
     pick = _first_resolvable(d)
     if pick is None:
         raise ValueError("no vertex adjacent to the circle")
     leg, v = pick
-    return stu(d, v, leg).map_terms(_reduce_canonical)
+    return stu(d, v, leg).map_terms(_reduce)
 
 
 # --------------------------------------------------------------------------

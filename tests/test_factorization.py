@@ -178,6 +178,19 @@ def test_verify_unknot(basis4):
         assert all(a == 0 for a in d.alphas)
 
 
+def test_verify_factorization_derives_identities_once(basis4):
+    # the composite identities depend on the basis only, so a second
+    # verification reuses them and reports the same
+    from vassiliev.factorization import _composite_identities
+
+    _composite_identities.cache_clear()
+    reps = [verify_factorization(knot("3_1"), basis4, 4, (2, 3, 4, 5))
+            for _ in range(2)]
+    info = _composite_identities.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert reps[0] == reps[1]
+
+
 def test_rank_report_degrees_5_6(basis6):
     ex = extract_alphas(knot("3_1"), basis6, 6, (2, 3, 4, 5))
     d5, d6 = ex.degree(5), ex.degree(6)

@@ -1,9 +1,11 @@
 import pytest
 
 import random
+from fractions import Fraction
 
 from vassiliev.knots import (
     BRACKET_CROSSING_BUDGET,
+    HOMFLY_CROSSING_BUDGET,
     _OrientedState,
     _splice_pseudo,
     BraidWord,
@@ -22,6 +24,7 @@ from vassiliev.knots import (
 )
 from vassiliev.knot_table import knot, knot_names, table
 from vassiliev.laurent import Laurent1, Laurent2
+from vassiliev.linalg import determinant as matrix_determinant
 
 UNKNOT = PlanarDiagram([], 1)
 JONES_TABLE = {
@@ -152,6 +155,12 @@ def test_homfly_budget():
     big = connected_sum(knot("granny"), knot("granny"))
     with pytest.raises(BudgetExceededError):
         homfly(big)
+    # a closure with exactly the budget's crossings is accepted, one
+    # crossing more is refused
+    word = ([1, -2] * HOMFLY_CROSSING_BUDGET)[:HOMFLY_CROSSING_BUDGET]
+    assert homfly(BraidWord(3, word)).coeffs
+    with pytest.raises(BudgetExceededError, match="budget"):
+        homfly(BraidWord(3, word + [1]))
 
 
 def test_sun_slice_rejects_small_rank():
@@ -521,3 +530,158 @@ def test_splice_pseudo_resolves_chains_and_cycles():
     assert loops == 2
     assert wiring == {(0, 2): (1, 0), (1, 0): (0, 2),
                       (2, 1): (3, 3), (3, 3): (2, 1)}
+
+
+def _reference_canonical_code(state: _OrientedState) -> tuple:
+    """The exhaustive skein code: every out-port is traced in full as a
+    start and the least code wins; a split diagram minimizes over every
+    entry point of each further part."""
+    outs = state.out_ports()
+    if not outs:
+        return ("loops", state.loops)
+
+    def trace(start, disc, tokens, seen_out):
+        cur = start
+        while True:
+            seen_out.add(cur)
+            k, p = state.wiring[cur]
+            if k not in disc:
+                disc[k] = len(disc)
+                tokens.append(("n", state.signs[k], p))
+            else:
+                tokens.append(("o", disc[k], p))
+            cur = (k, p ^ 2)
+            if cur == start:
+                return
+
+    def finish(disc, tokens, seen_out):
+        while True:
+            cands = [(disc[k], pp) for (k, pp) in outs
+                     if k in disc and (k, pp) not in seen_out]
+            if not cands:
+                break
+            d_id, pp = min(cands)
+            tokens.append(("c", d_id, pp))
+            trace((list(disc)[d_id], pp), disc, tokens, seen_out)
+        remaining = [x for x in outs if x not in seen_out]
+        if not remaining:
+            return tuple(tokens)
+        tails = []
+        for cand in remaining:
+            disc2, tokens2, seen2 = dict(disc), list(tokens), set(seen_out)
+            tokens2.append(("s",))
+            trace(cand, disc2, tokens2, seen2)
+            tails.append(finish(disc2, tokens2, seen2))
+        return min(tails)
+
+    codes = []
+    for start in outs:
+        disc, tokens, seen_out = {}, [], set()
+        trace(start, disc, tokens, seen_out)
+        codes.append(finish(disc, tokens, seen_out))
+    return min(codes) + ("loops", state.loops)
+
+
+def _skein_code_cases():
+    for name in knot_names():
+        yield name, knot(name)
+        yield name + "!", knot(name).mirror()
+    rng = random.Random(1313)
+    made = 0
+    while made < 240:
+        kind = made % 3
+        strands = rng.randint(3, 5) if kind else rng.randint(2, 5)
+        gens = list(range(1, strands))
+        if kind == 1:  # a split link: one generator never occurs
+            gens.remove(rng.choice(gens))
+        word = [rng.choice((1, -1)) * rng.choice(gens)
+                for _ in range(rng.randint(1, 10))]
+        if kind == 2:  # a pure braid on three strands: three components
+            strands = 3
+            word = [x for x in word[:5] if abs(x) < 3 for _ in (0, 1)]
+        pd = braid_closure(BraidWord(strands, word))
+        if pd.n_crossings <= 10:
+            made += 1
+            yield (strands, word), pd
+
+
+def test_canonical_code_matches_exhaustive_search(monkeypatch):
+    # the skein memo key must be the least code over every start, on
+    # every state the recursion visits: knots, split links, 3 components
+    from vassiliev import knots
+
+    fast = _OrientedState.canonical_code
+    seen = {"states": 0, "split": 0, "three": 0}
+
+    def checked(state):
+        code = fast(state)
+        assert code == _reference_canonical_code(state), label
+        seen["states"] += 1
+        seen["split"] += ("s",) in code
+        seen["three"] += state.component_count() == 3
+        return code
+
+    monkeypatch.setattr(_OrientedState, "canonical_code", checked)
+    for label, pd in _skein_code_cases():
+        knots._HOMFLY_MEMO.clear()
+        homfly(pd)
+    knots._HOMFLY_MEMO.clear()
+    assert seen["states"] > 5000
+    assert seen["split"] > 100 and seen["three"] > 100, seen
+
+
+def _alexander_at(pd: PlanarDiagram, t: Fraction) -> Fraction:
+    """Reduced Alexander determinant of a knot PD at t: one generator per
+    PD arc, a row x_j - x_l joining the two arcs of each over strand and
+    a row (1 - u) x_j + u x_i - x_k per crossing X(i,j,k,l), with u = t
+    on positive and 1/t on negative crossings; one column and the last
+    row are dropped."""
+    size = 2 * pd.n_crossings
+    rows = []
+    for i, j, k, l in pd.crossings:
+        row = [Fraction(0)] * size
+        row[j - 1] += 1
+        row[l - 1] -= 1
+        rows.append(row)
+    for (i, j, k, l), sign in zip(pd.crossings, pd.signs()):
+        u = t if sign > 0 else 1 / t
+        row = [Fraction(0)] * size
+        row[j - 1] += 1 - u
+        row[i - 1] += u
+        row[k - 1] -= 1
+        rows.append(row)
+    return matrix_determinant([row[1:] for row in rows[:-1]])
+
+
+def _alexander_cases():
+    for name in knot_names():
+        if name != "0_1":
+            yield name, knot(name), table()[name].determinant
+    rng = random.Random(2718)
+    made = 0
+    while made < 60:
+        strands = rng.randint(2, 4)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 10))]
+        if _is_knot_braid(strands, word):
+            made += 1
+            yield (strands, word), braid_closure(BraidWord(strands, word)), \
+                None
+
+
+def test_alexander_matrix_matches_skein_and_determinant():
+    # independent oracle for the skein: the Alexander polynomial of the
+    # Wirtinger presentation is the Conway slice P(a = 1, z = s - 1/s) at
+    # t = s^2, up to one unit +-t^m, and |Alexander(-1)| is the determinant
+    for label, pd, det in _alexander_cases():
+        h = homfly(pd)
+        units = set()
+        for s in (Fraction(2), Fraction(3), Fraction(1, 2), Fraction(5, 3)):
+            t, z = s * s, s - 1 / s
+            conway = sum(c * z ** j for (i, j), c in h.coeffs.items())
+            ratio = _alexander_at(pd, t) / conway
+            units.add(next(((ratio > 0, m) for m in range(-25, 26)
+                            if abs(ratio) == t ** m), None))
+        assert len(units) == 1 and None not in units, label
+        want = det if det is not None else determinant(pd)
+        assert abs(_alexander_at(pd, Fraction(-1))) == want, label
