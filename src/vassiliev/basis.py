@@ -37,7 +37,7 @@ from .diagrams import (
     product_all,
     serialize,
 )
-from .linalg import SparseEliminator, determinant, invert, solve_dense
+from .linalg import SparseEliminator, determinant, invert
 from .relations import (
     ihx,
     internal_edges,
@@ -237,11 +237,19 @@ def shared_basis(max_degree: int) -> CanonicalBasis:
 # coordinates
 
 
+_OFF_SPAN = ("diagram class not in the basis span; the basis construction "
+             "is inconsistent")
+
+
 def coordinates(d: Diagram, basis: CanonicalBasis) -> Coordinates:
     """Exact coordinates of a diagram in the basis at its degree.
 
-    The result c satisfies: d - sum(c_j * element_j) lies in the span of
-    the degree's relations (verified before returning).
+    The residuals of the degree's elements, restricted to their joint
+    support (the quotient's non-pivot columns), form a square invertible
+    matrix that does not depend on d; its inverse is built once per
+    (basis, degree) and the coordinates are one product with d's
+    residual.  The result c satisfies: d - sum(c_j * element_j) lies in
+    the span of the degree's relations (verified before returning).
     """
     i = d.degree
     if i > basis.max_degree:
@@ -250,25 +258,35 @@ def coordinates(d: Diagram, basis: CanonicalBasis) -> Coordinates:
         raise ValueError("diagram has an isolated chord; it is zero in the "
                          "reduced quotient spanned by the basis")
     target = quotient_space(i, True).residual(d)
-    elems = basis.elements(i)
-    if not elems:
-        if any(target.values()):
-            raise RuntimeError("nonzero class with an empty basis")
-        return Coordinates(i, ())
-    cols = [basis.residual(e) for e in elems]
-    support = sorted(set(target) | {c for col in cols for c in col})
-    matrix = [[col.get(s, Fraction(0)) for col in cols] for s in support]
-    rhs = [target.get(s, Fraction(0)) for s in support]
-    sol = solve_dense(matrix, rhs)
-    if sol is None:
-        raise RuntimeError("diagram class not in the basis span; the basis "
-                           "construction is inconsistent")
+    support, matrix, inverse = _basis_inverse(basis, i)
+    rhs = [target.pop(s, Fraction(0)) for s in support]
+    if target:  # the residual is a fresh dict; what is left is off support
+        raise RuntimeError(_OFF_SPAN)
+    sol = [sum((a * r for a, r in zip(row, rhs)), Fraction(0))
+           for row in inverse]
     # exactness check: the support covers the target and every column,
     # so the residual of the difference vanishes iff every row holds
     if any(sum(c * v for c, v in zip(sol, row)) != r
            for row, r in zip(matrix, rhs)):
         raise RuntimeError("coordinate verification failed")
     return Coordinates(i, tuple(sol))
+
+
+@functools.cache
+def _basis_inverse(basis: CanonicalBasis, degree: int) -> tuple:
+    """(support, matrix, inverse) of a degree's basis residuals: the
+    sorted columns they touch, the support x d matrix whose column j is
+    element j's residual, and its inverse (all empty for a degree
+    without elements)."""
+    cols = [basis.residual(e) for e in basis.elements(degree)]
+    support = sorted({c for col in cols for c in col})
+    if len(support) != len(cols):
+        raise RuntimeError(_OFF_SPAN)
+    matrix = [[col.get(s, Fraction(0)) for col in cols] for s in support]
+    try:
+        return support, matrix, invert(matrix)
+    except ValueError:
+        raise RuntimeError(_OFF_SPAN) from None
 
 
 # --------------------------------------------------------------------------

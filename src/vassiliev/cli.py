@@ -112,14 +112,16 @@ def _resolve_knot(args) -> PlanarDiagram:
     if args.pd:
         return parse_pd(args.pd)
     head, colon, word = args.braid.rpartition(":")
-    letters = [int(x) for x in word.replace(",", " ").split()]
-    if colon:
-        strands = int(head)
-    elif letters:
+    try:
+        letters = [int(x) for x in word.replace(",", " ").split()]
+        strands = int(head) if colon else None
+    except ValueError:
+        raise ValueError(f"malformed braid word: {args.braid!r}") from None
+    if strands is None:
+        if not letters:
+            raise ValueError("empty braid word: give the strand count as "
+                             "'k:', e.g. '2:' for the 2-component unlink")
         strands = max(abs(x) for x in letters) + 1
-    else:
-        raise ValueError("empty braid word: give the strand count as "
-                         "'k:', e.g. '2:' for the 2-component unlink")
     return braid_closure(BraidWord(strands, letters))
 
 

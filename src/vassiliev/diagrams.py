@@ -17,8 +17,11 @@ canonical labelling minimizes a traversal code over rotations and
 per-vertex orientation choices; vertex numbering is forced by discovery
 order.  A rotation's first token (its first leg's partner, or L for a
 vertex) does not depend on the orientations, so only the rotations
-with the least first token are searched over the 2**T orientations; a
-chord diagram (T = 0) has one orientation and sign +1.
+with the least first token are searched.  Each is searched depth
+first: the traversal branches on a vertex's orientation at the step
+where it is first read, so the orientation vectors share every prefix
+before they differ, and a branch stops at its first token above the
+least code so far.  A chord diagram (T = 0) has one branch and sign +1.
 
 Every enumeration (chord, one-vertex and connected diagrams) generates
 partner lists, collects their `_least_code` codes and builds one
@@ -188,7 +191,13 @@ def _canonicalize_full(d: Diagram) -> tuple[SignedDiagram, tuple]:
 
 def _least_code(L: int, T: int, partner: list) -> tuple[tuple, int]:
     """Least traversal code of a diagram and its sign (0 if codes of both
-    signs reach it)."""
+    signs reach it).
+
+    A depth-first search over the least-first-token rotations that
+    fixes each vertex orientation where the traversal first reads it,
+    pruned against the least code so far.  The least code and its set
+    of orientation signs do not depend on the search order.
+    """
     if not L:  # the empty diagram: no legs, so no vertices
         return (), 1
     # a rotation's first token (its first leg's partner, or L for a
@@ -202,25 +211,36 @@ def _least_code(L: int, T: int, partner: list) -> tuple[tuple, int]:
     signs = set()
     # One traversal code per (rotation, vertex orientations): the legs'
     # partners in circle order, then the two non-anchor slots of each
-    # vertex in discovery order.  Vertex numbers follow discovery, and
-    # a code is dropped as soon as it exceeds the best one.
+    # vertex in discovery order.  Vertex numbers follow discovery.  An
+    # orientation eps[v] is first read where the traversal meets v again
+    # at a non-anchor slot, or at step L + 2 * vid[v]; the search
+    # branches there (+1 now, -1 saved on the stack with the prefix), so
+    # orientation vectors share every step before they differ.  A code
+    # is dropped as soon as it exceeds the best one.  A branch is saved
+    # with a prefix <= best[:j], and the +1 sibling searched before it
+    # resumes either reaches a leaf (the new best, sharing the prefix)
+    # or is pruned against a best that already shares it: so a resumed
+    # prefix always equals best[:j].
     for rotation in range(L):
         if firsts[rotation] != least:
             continue
-        for eps in itertools.product((1, -1), repeat=T):
-            vid = [-1] * T
-            anchor = [0] * T
-            order = []
-            tokens = []
+        stack = [(0, [-1] * T, [0] * T, [], [], [0] * T)]
+        while stack:
+            j, vid, anchor, order, tokens, eps = stack.pop()
             undecided = best is not None  # still equal to best so far
-            for j in range(size):
+            while j < size:
                 if j < L:
                     ep = partner[(rotation + j) % L]
                 else:
                     k = j - L
                     v = order[k >> 1]
+                    e = eps[v]
+                    if not e:
+                        stack.append((j, vid[:], anchor[:], order[:],
+                                      tokens[:], eps[:v] + [-1] + eps[v + 1:]))
+                        e = eps[v] = 1
                     ep = partner[L + 3 * v
-                                 + (anchor[v] + (1 + (k & 1)) * eps[v]) % 3]
+                                 + (anchor[v] + (1 + (k & 1)) * e) % 3]
                 if ep < L:
                     t = (ep - rotation) % L
                 else:
@@ -232,7 +252,13 @@ def _least_code(L: int, T: int, partner: list) -> tuple[tuple, int]:
                         order.append(v)
                         t = L + 3 * new
                     else:
-                        t = L + 3 * new + (s - anchor[v]) * eps[v] % 3
+                        e = eps[v]
+                        if not e:
+                            stack.append((j, vid[:], anchor[:], order[:],
+                                          tokens[:],
+                                          eps[:v] + [-1] + eps[v + 1:]))
+                            e = eps[v] = 1
+                        t = L + 3 * new + (s - anchor[v]) * e % 3
                 if undecided:
                     b = best[j]
                     if t > b:
@@ -240,6 +266,7 @@ def _least_code(L: int, T: int, partner: list) -> tuple[tuple, int]:
                     if t < b:
                         undecided = False
                 tokens.append(t)
+                j += 1
             else:
                 if undecided:
                     signs.add(math.prod(eps))

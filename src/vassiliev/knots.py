@@ -200,10 +200,13 @@ def parse_pd(text: str) -> PlanarDiagram:
             continue
         if not (chunk.startswith("X(") and chunk.endswith(")")):
             raise ValueError(f"malformed PD crossing: {chunk!r}")
-        nums = chunk[2:-1].split(",")
-        if len(nums) != 4:
+        try:
+            labels = tuple(int(x) for x in chunk[2:-1].split(","))
+        except ValueError:  # a label that is not an integer
+            labels = ()
+        if len(labels) != 4:
             raise ValueError(f"malformed PD crossing: {chunk!r}")
-        crossings.append(tuple(int(x) for x in nums))
+        crossings.append(labels)
     return PlanarDiagram(crossings, loops)
 
 

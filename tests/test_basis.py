@@ -7,6 +7,7 @@ import pytest
 
 from vassiliev.basis import (
     BasisChangeMatrix,
+    CanonicalBasis,
     _code_version,
     _serialize_body,
     coordinates,
@@ -26,7 +27,7 @@ from vassiliev.diagrams import (
     product,
     random_diagram,
 )
-from vassiliev.linalg import determinant
+from vassiliev.linalg import determinant, solve_dense
 from vassiliev.relations import quotient_space, stu
 
 TRIPOD = Diagram(3, 1, [(0, 3), (1, 4), (2, 5)])
@@ -139,6 +140,53 @@ def test_coordinates_random_consistency(basis5):
                     del vec[col]
         assert not vec
         done += 1
+
+
+def test_coordinates_degree6_unit_vectors(basis6):
+    for e in basis6.elements(6):
+        c = coordinates(e.diagram, basis6)
+        assert c.values == tuple(
+            Fraction(int(j == e.index)) for j in range(basis6.d(6)))
+
+
+def _dense_coordinates(d, basis):
+    """Coordinates by one dense solve over the target's and the basis
+    residuals' joint support, per diagram."""
+    i = d.degree
+    target = quotient_space(i, True).residual(d)
+    cols = [basis.residual(e) for e in basis.elements(i)]
+    support = sorted(set(target) | {c for col in cols for c in col})
+    matrix = [[col.get(s, Fraction(0)) for col in cols] for s in support]
+    return tuple(solve_dense(
+        matrix, [target.get(s, Fraction(0)) for s in support]))
+
+
+def test_coordinates_degree6_match_dense_solve(basis6):
+    # the per-degree inverse against a dense solve per diagram, on
+    # seeded degree-6 diagrams with 0-10 vertices
+    rng = random.Random(37)
+    seen = set()
+    done = 0
+    while done < 60:
+        d = random_diagram(rng, 6)
+        if has_isolated_chord(d):
+            continue
+        assert coordinates(d, basis6).values == _dense_coordinates(d, basis6)
+        seen.add(d.vertices)
+        done += 1
+    assert max(seen) >= 9
+
+
+def test_coordinates_dependent_basis_raises_runtime_error(basis5):
+    # a degree whose elements are dependent has no inverse: the
+    # coordinates fail as "not in the basis span", not with linalg's
+    # ValueError
+    elems = list(basis5.elements(4))
+    elems[1] = elems[0]
+    broken = CanonicalBasis(4, {**{i: basis5.elements(i) for i in range(4)},
+                                4: elems}, {}, "")
+    with pytest.raises(RuntimeError, match="not in the basis span"):
+        coordinates(basis5.element(4, 2).diagram, broken)
 
 
 def test_coordinates_weight_cross_oracle(basis5):

@@ -183,6 +183,20 @@ def test_negative_max_degree_exit_2(capsys):
             assert not out and "not a nonnegative integer" in err
 
 
+def test_non_integer_labels_exit_2(capsys):
+    # a label that is not an integer names the crossing or the braid
+    # word, not int()'s parse error
+    cases = [("homfly", "--pd", "X(a,b,c,d)",
+              "error: malformed PD crossing: 'X(a,b,c,d)'"),
+             ("homfly", "--pd", "X(1.5,2,3,4)",
+              "error: malformed PD crossing: 'X(1.5,2,3,4)'"),
+             ("jones", "--braid", "2:a", "error: malformed braid word: '2:a'"),
+             ("jones", "--braid", "x:1", "error: malformed braid word: 'x:1'")]
+    for command, flag, value, message in cases:
+        code, out, err = run_cli(capsys, command, flag, value)
+        assert (code, out, err.strip()) == (2, "", message)
+
+
 def test_empty_braid_word(capsys):
     code, out, err = run_cli(capsys, "homfly", "--braid", ",")
     assert code == 2 and not out and "strand count" in err

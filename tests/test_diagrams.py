@@ -457,3 +457,31 @@ def test_canonical_search_matches_reference():
         sd = canonicalize(d)
         assert (canonical_key(d), sd.sign, sd.diagram.edges) == \
             (key, sign, edges), serialize(d)
+
+
+def _tadpole_free(rng, n, T):
+    """Seeded tadpole-free degree-n diagram with exactly T vertices."""
+    L = 2 * n - T
+    while True:
+        ends = list(range(L + 3 * T))
+        rng.shuffle(ends)
+        try:
+            d = Diagram(L, T, zip(ends[::2], ends[1::2]))
+        except ValueError:
+            continue  # a dashed component misses the circle
+        if not d.has_tadpole():
+            return d
+
+
+def test_canonical_search_matches_reference_many_vertices():
+    # the orientation search branches where an orientation is first
+    # read; degree-6 diagrams with 7-10 vertices (and a relabelling of
+    # each) have the most branch points
+    rng = random.Random(19)
+    diagrams = [_tadpole_free(rng, 6, 7 + k % 4) for k in range(100)]
+    diagrams += [_relabelled(rng, d)[0] for d in diagrams]
+    for d in diagrams:
+        key, sign, edges = _reference_canonical(d)
+        sd = canonicalize(d)
+        assert (canonical_key(d), sd.sign, sd.diagram.edges) == \
+            (key, sign, edges), serialize(d)

@@ -388,6 +388,8 @@ def test_clear_caches_empties_every_cache():
                        if hasattr(obj, "cache_info")
                        and obj.__module__ == module.__name__]
     vassiliev.derive_composite_identities(shared_basis(3), 3)
+    vassiliev.coordinates(shared_basis(3).element(3, 0).diagram,
+                          shared_basis(3))
     quotient_space(3, False).residual(chord_diagrams(3)[0])
     weight_sun_deframed(random_diagram(random.Random(50), 3))
     knots.homfly(knot("3_1"))
