@@ -29,7 +29,10 @@ Diagram per class (`_classes`); no Diagram is built per source.  At
 degree 6 the 10,395 matchings give 902 chord classes, and the 9,844
 merges of two adjacent legs of a chord diagram into the leg of a new
 vertex (the inverse of an STU resolution) give the 1,575 one-vertex
-classes, the 4T sources.
+classes, the 4T sources.  A connected diagram's vertices are numbered
+by their first legs around the circle (legless vertices last), and
+its edges are then one labelled multigraph on the remaining degrees:
+no multigraph isomorphism is tested.
 """
 
 from __future__ import annotations
@@ -390,15 +393,9 @@ class DecompositionReport:
 
 def _interleaved(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     """True if the two position sets cannot be separated into two arcs."""
-    merged = sorted([(p, 0) for p in a] + [(p, 1) for p in b])
-    labels = [w for _, w in merged]
-    blocks = 1
-    for i in range(1, len(labels)):
-        if labels[i] != labels[i - 1]:
-            blocks += 1
-    if labels[0] == labels[-1] and blocks > 1:
-        blocks -= 1  # cyclic wrap-around joins first and last block
-    return blocks > 2
+    labels = [w for _, w in sorted([(p, 0) for p in a] + [(p, 1) for p in b])]
+    # the blocks of equal labels around the circle, one per label change
+    return sum(x != y for x, y in zip(labels, labels[1:] + labels[:1])) > 2
 
 
 def decompose(d: Diagram) -> DecompositionReport:
@@ -518,25 +515,36 @@ def serialize(d: Diagram) -> str:
 
 
 def parse(text: str) -> Diagram:
-    """Inverse of `serialize`."""
+    """Inverse of `serialize`; a malformed field raises ValueError naming
+    it."""
     fields = text.split()
     if len(fields) < 2 or not fields[0].startswith("L=") \
             or not fields[1].startswith("T="):
         raise ValueError(f"malformed diagram line: {text!r}")
-    L = int(fields[0][2:])
-    T = int(fields[1][2:])
+
+    def checked(field: str, read):
+        try:
+            return read(field)
+        except ValueError:  # not an integer, a wrong part count or range
+            raise ValueError(f"malformed diagram field: {field!r}") from None
+
+    L, T = (checked(f, lambda s: int(s[2:])) for f in fields[:2])
 
     def endpoint(s: str) -> int:
         if s.startswith("V"):
-            v, slot = s[1:].split(".")
-            return L + 3 * (int(v) - 1) + (int(slot) - 1)
+            v, slot = map(int, s[1:].split("."))
+            if not (1 <= v <= T and 1 <= slot <= 3):
+                raise ValueError
+            return L + 3 * (v - 1) + slot - 1
+        if not 1 <= int(s) <= L:
+            raise ValueError
         return int(s) - 1
 
-    edges = []
-    for f in fields[2:]:
+    def edge(f: str) -> tuple[int, int]:
         a, b = f.split("-")
-        edges.append((endpoint(a), endpoint(b)))
-    return Diagram(L, T, edges)
+        return endpoint(a), endpoint(b)
+
+    return Diagram(L, T, [checked(f, edge) for f in fields[2:]])
 
 
 # --------------------------------------------------------------------------
@@ -639,90 +647,80 @@ def one_vertex_diagrams(n: int) -> list[Diagram]:
     return _classes(2 * n - 1, 1, _merged_legs(n))
 
 
-def _connected_multigraphs(T: int, E: int) -> list[tuple]:
-    """Connected loopless multigraphs, max degree 3, up to isomorphism.
+def _leg_sequences(L: int, T: int):
+    """The legs' vertices in circle order, each vertex numbered by its
+    first leg (a restricted growth string); only sequences that no
+    rotation renumbers to a smaller one (one list, refilled in place)."""
+    seq = []
+    cap = 3 if T == 1 else 2  # a vertex with three legs has no edge
 
-    Returned as sorted edge tuples on vertices 0..T-1.
-    """
-    if T == 1:
-        return [()] if E == 0 else []
-    pairs = list(itertools.combinations(range(T), 2))
-    results = set()
+    def renumbered(s):
+        first = {}
+        return [first.setdefault(v, len(first)) for v in s]
 
-    def canonical(edges: tuple) -> tuple:
-        best = None
-        for perm in itertools.permutations(range(T)):
-            mapped = tuple(sorted(
-                tuple(sorted((perm[a], perm[b]))) for a, b in edges))
-            if best is None or mapped < best:
-                best = mapped
-        return best
-
-    def rec(idx: int, remaining: int, deg: list, edges: list):
-        if remaining == 0:
-            # vertex v is node v of the leg-free dashed graph (slot 3v)
-            roots = _dashed_roots(0, T, [(3 * a, 3 * b) for a, b in edges])
-            if len(set(roots)) == 1:
-                results.add(canonical(tuple(edges)))
+    def rec(used):
+        if len(seq) == L:
+            if all(renumbered(seq[i:] + seq[:i]) >= seq for i in range(1, L)):
+                yield seq
             return
+        for v in range(min(used + 1, T)):
+            if seq.count(v) < cap:
+                seq.append(v)
+                yield from rec(max(used, v + 1))
+                seq.pop()
+
+    yield from rec(0)
+
+
+def _completions(free: list[int]):
+    """Every labelled, connected, loopless multigraph on vertices
+    0..T-1 in which vertex v has degree free[v], as an edge list."""
+    T = len(free)
+    pairs = list(itertools.combinations(range(T), 2))
+    left = free[:]
+
+    def rec(idx: int, edges: list):
         if idx == len(pairs):
+            # vertex v is node v of the leg-free dashed graph (slot 3v)
+            if not any(left) and len(set(_dashed_roots(
+                    0, T, [(3 * a, 3 * b) for a, b in edges]))) == 1:
+                yield edges
             return
         a, b = pairs[idx]
-        cap = min(remaining, 3 - deg[a], 3 - deg[b])
-        for mult in range(cap, -1, -1):
-            deg[a] += mult
-            deg[b] += mult
-            rec(idx + 1, remaining - mult, deg, edges + [(a, b)] * mult)
-            deg[a] -= mult
-            deg[b] -= mult
+        # (a, T - 1) is the last pair of a: it must fill a's degree
+        low = left[a] if b == T - 1 else 0
+        for mult in range(min(left[a], left[b]), low - 1, -1):
+            left[a] -= mult
+            left[b] -= mult
+            yield from rec(idx + 1, edges + [(a, b)] * mult)
+            left[a] += mult
+            left[b] += mult
 
-    rec(0, E, [0] * T, [])
-    return sorted(results)
-
-
-def _multiset_sequences(counts: dict[int, int]):
-    """All distinct sequences using each key `counts[k]` times."""
-    total = sum(counts.values())
-    seq: list[int] = []
-
-    def rec():
-        if len(seq) == total:
-            yield tuple(seq)
-            return
-        for k in sorted(counts):
-            if counts[k]:
-                counts[k] -= 1
-                seq.append(k)
-                yield from rec()
-                seq.pop()
-                counts[k] += 1
-
-    yield from rec()
+    yield from rec(0, [])
 
 
-def _leg_placements(L: int, T: int, E: int):
+def _leg_placements(L: int, T: int):
     """Partner lists of the connected diagrams whose L legs all end on
-    the T vertices of a connected multigraph with E edges: one per
-    (multigraph, rotation-minimal sequence of the legs' vertices).
-    Edges and then legs take each vertex's free slots in order."""
-    for graph in _connected_multigraphs(T, E):
-        graph_partner = [0] * (L + 3 * T)
-        used = [0] * T
-        for a, b in graph:
-            x, y = L + 3 * a + used[a], L + 3 * b + used[b]
-            used[a] += 1
-            used[b] += 1
-            graph_partner[x], graph_partner[y] = y, x
-        # the free slots number 3T - 2E = L
-        for seq in _multiset_sequences({v: 3 - used[v] for v in range(T)}):
-            if any(seq > seq[i:] + seq[:i] for i in range(1, L)):
-                continue  # not the least rotation of the leg sequence
-            partner = graph_partner[:]
-            slot = used[:]
-            for pos, v in enumerate(seq):
-                x = L + 3 * v + slot[v]
-                slot[v] += 1
-                partner[pos], partner[x] = x, pos
+    the T vertices: one per (leg sequence, completion).
+
+    A connected diagram rotates to its least renumbered leg sequence;
+    numbering each vertex by its first leg, and legless vertices last,
+    makes its edges a completion of the degrees 3 - legs(v).  Legs and
+    then edges take each vertex's slots in order; another slot order
+    only changes the sign.
+    """
+    for seq in _leg_sequences(L, T):
+        legs = [0] * (L + 3 * T)
+        slot = [L + 3 * v for v in range(T)]  # each vertex's next slot
+        for pos, v in enumerate(seq):
+            legs[pos], legs[slot[v]] = slot[v], pos
+            slot[v] += 1
+        for edges in _completions([3 - seq.count(v) for v in range(T)]):
+            partner, end = legs[:], slot[:]
+            for a, b in edges:
+                partner[end[a]], partner[end[b]] = end[b], end[a]
+                end[a] += 1
+                end[b] += 1
             yield partner
 
 
@@ -730,17 +728,15 @@ def connected_diagrams(n: int, T: int) -> list[Diagram]:
     """Canonical connected degree-n diagrams with T internal vertices.
 
     Connected means the dashed graph is connected without using the
-    circle; for n >= 2 this forces i-1 <= T <= 2n-2 and every leg edge
+    circle; for n >= 2 this forces n-1 <= T <= 2n-2 and every leg edge
     to end on an internal vertex.
     """
     if n == 1:
         # the single chord is the only connected degree-1 diagram
         return [chord_diagram([(0, 1)])] if T == 0 else []
-    E = 2 * T - n
-    L = 2 * n - T
-    if E < max(0, T - 1) or L < 1 or T < 1:
+    if not n - 1 <= T < 2 * n:  # too few edges to connect, or no leg
         return []
-    return _classes(L, T, _leg_placements(L, T, E))
+    return _classes(2 * n - T, T, _leg_placements(2 * n - T, T))
 
 
 def random_diagram(rng, deg: int, require_nonzero: bool = True) -> Diagram:

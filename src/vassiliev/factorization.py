@@ -19,11 +19,10 @@ the slice substitution.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .basis import (
     BasisChangeReport,
@@ -31,7 +30,7 @@ from .basis import (
     multisets_up_to,
     transform_alphas,
 )
-from .diagrams import canonicalize, chord_diagram
+from .diagrams import canonicalize, chord_diagram, product_all
 from .formal import MultiPoly, symbol
 from .knots import PlanarDiagram, homfly, sun_slice
 from .linalg import matrix_rank, rref, solve_dense
@@ -212,13 +211,12 @@ def _composite_identities(basis: CanonicalBasis, K: int, framing: bool
     normal = _normal_forms(multisets)
 
     # formal component weights, labelled by basis coordinates
-    conn_diagrams = {}
-    for i in range(2, K + 1):
-        for e in basis.connected(i):
-            conn_diagrams[canonicalize(e.diagram).diagram] = (i, e.index)
+    diagram_of = {(i, e.index): canonicalize(e.diagram).diagram
+                  for i in range(2, K + 1) for e in basis.connected(i)}
     if framing:
-        conn_diagrams[canonicalize(chord_diagram([(0, 1)])).diagram] = \
-            FRAMING_LABEL
+        diagram_of[FRAMING_LABEL] = \
+            canonicalize(chord_diagram([(0, 1)])).diagram
+    label_of = {d: label for label, d in diagram_of.items()}
 
     def g_label(label):
         return f"{label[0]}.{label[1] + 1}"
@@ -226,8 +224,8 @@ def _composite_identities(basis: CanonicalBasis, K: int, framing: bool
     def g_sym(label, mark):
         return symbol("w", mark, g_label(label))
 
-    # expand the left side via the product-group weights where a diagram
-    # exists; otherwise (framing extension) from the multiset directly
+    # expand the left side via the product-group weights of the basis
+    # element's diagram, else of the product of the labels' diagrams
     lhs: dict[tuple[int, int], MultiPoly] = {}
     left = [MultiPoly.zero() for _ in range(K + 1)]
     right = [MultiPoly.zero() for _ in range(K + 1)]
@@ -243,27 +241,12 @@ def _composite_identities(basis: CanonicalBasis, K: int, framing: bool
         deg = _multiset_degree(m)
         a_m = normal[m]
         elem = basis_elements_by_multiset.get(m)
-        if elem is not None and not framing:
-            factors = weight_product_group(
-                elem.diagram, marks=("G", "G2"),
-                labeler=lambda d: g_label(conn_diagrams[d]))
-            for key, poly in factors.items():
-                lhs[key] = lhs.get(key, 0) + a_m * poly
-        else:
-            counts = Counter(m)
-            items = sorted(counts.items())
-            ranges = [range(c + 1) for _, c in items]
-            for pick in itertools.product(*ranges):
-                ways = 1
-                mono = MultiPoly.one()
-                a = 0
-                for (label, c), s in zip(items, pick):
-                    ways *= comb(c, s)
-                    a += label[0] * s
-                    mono = mono * MultiPoly.sym(g_sym(label, "G"), s)
-                    mono = mono * MultiPoly.sym(g_sym(label, "G2"), c - s)
-                key = (a, deg - a)
-                lhs[key] = lhs.get(key, 0) + a_m * mono * Fraction(ways)
+        d = (elem.diagram if elem is not None
+             else product_all(diagram_of[label] for label in m))
+        factors = weight_product_group(
+            d, marks=("G", "G2"), labeler=lambda c: g_label(label_of[c]))
+        for key, poly in factors.items():
+            lhs[key] = lhs.get(key, 0) + a_m * poly
         # right side: product of two single-group expansions
         g_mono = MultiPoly.one()
         gp_mono = MultiPoly.one()

@@ -197,6 +197,20 @@ def test_non_integer_labels_exit_2(capsys):
         assert (code, out, err.strip()) == (2, "", message)
 
 
+def test_malformed_diagram_fields_exit_2(capsys):
+    # a malformed field of --diagram is named, not int()'s parse error
+    # or an unpacking error
+    cases = [("L=2 T=0 1-x", "1-x"), ("L=x T=0", "L=x"),
+             ("L=2 T=0 1-2-3", "1-2-3"), ("L=2 T=0 1", "1"),
+             ("L=2 T=0 V1-2", "V1-2"), ("L=2 T=0 1-V1", "1-V1"),
+             ("L=3 T=1 1-V1.1 2-V1.2 3-V1.4", "3-V1.4"),
+             ("L=3 T=1 1-V1.1 2-V1.2 4-V1.3", "4-V1.3")]
+    for text, field in cases:
+        code, out, err = run_cli(capsys, "weight", "--diagram", text)
+        assert (code, out, err.strip()) == \
+            (2, "", f"error: malformed diagram field: {field!r}"), text
+
+
 def test_empty_braid_word(capsys):
     code, out, err = run_cli(capsys, "homfly", "--braid", ",")
     assert code == 2 and not out and "strand count" in err

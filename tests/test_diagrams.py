@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -390,6 +391,110 @@ def _connected_by_placement(n, T):
                                  (4, 3)])
 def test_connected_matches_placement_enumeration(n, T):
     assert connected_diagrams(n, T) == _connected_by_placement(n, T)
+
+
+def _connected_multigraphs(T, E):
+    # connected loopless multigraphs of max degree 3 up to isomorphism,
+    # deduplicated by the least edge list over all T! relabellings
+    pairs = list(itertools.combinations(range(T), 2))
+    results = set()
+
+    def rec(idx, remaining, deg, edges):
+        if remaining == 0:
+            roots = {v: v for v in range(T)}
+
+            def find(v):
+                while roots[v] != v:
+                    v = roots[v]
+                return v
+
+            for a, b in edges:
+                roots[find(a)] = find(b)
+            if len({find(v) for v in range(T)}) == 1:
+                results.add(min(
+                    tuple(sorted(tuple(sorted((p[a], p[b]))) for a, b in edges))
+                    for p in itertools.permutations(range(T))))
+            return
+        if idx == len(pairs):
+            return
+        a, b = pairs[idx]
+        for mult in range(min(remaining, 3 - deg[a], 3 - deg[b]), -1, -1):
+            deg[a] += mult
+            deg[b] += mult
+            rec(idx + 1, remaining - mult, deg, edges + [(a, b)] * mult)
+            deg[a] -= mult
+            deg[b] -= mult
+
+    rec(0, E, [0] * T, [])
+    return sorted(results)
+
+
+def _connected_by_multigraph(n, T):
+    # reference enumeration: every connected multigraph up to
+    # isomorphism, with its free slots taken by the legs in every
+    # rotation-least order of their vertices
+    L, E = 2 * n - T, 2 * T - n
+    found = {}
+    for graph in _connected_multigraphs(T, E) if L > 0 else []:
+        used = [0] * T
+        edges = []
+        for a, b in graph:
+            edges.append((L + 3 * a + used[a], L + 3 * b + used[b]))
+            used[a] += 1
+            used[b] += 1
+        free = [v for v in range(T) for _ in range(3 - used[v])]
+        for seq in set(itertools.permutations(free)):
+            if any(seq > seq[i:] + seq[:i] for i in range(1, L)):
+                continue
+            slot = used[:]
+            legs = []
+            for pos, v in enumerate(seq):
+                legs.append((pos, L + 3 * v + slot[v]))
+                slot[v] += 1
+            sd = canonicalize(Diagram(L, T, edges + legs))
+            if sd.sign:
+                found[canonical_key(sd.diagram)] = sd.diagram
+    return [found[k] for k in sorted(found)]
+
+
+def test_connected_matches_multigraph_enumeration():
+    for n in range(2, 7):
+        for T in range(1, 6):
+            assert connected_diagrams(n, T) == \
+                _connected_by_multigraph(n, T), (n, T)
+
+
+@pytest.mark.parametrize("n,T,digest", [(4, 6, "77144fb80a1e46b9"),
+                                        (5, 6, "d5e98dbd1016795d"),
+                                        (6, 6, "10c44f7f5cbd3495"),
+                                        (7, 6, "60adcc8c51a9c2d6")])
+def test_connected_lists_pinned(n, T, digest):
+    # sha256 of the lists the multigraph enumeration gave, for cases
+    # too slow for its T! relabelling
+    text = "\n".join(serialize(d) for d in connected_diagrams(n, T))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def _assert_samples_enumerated(n, T, seed, count=200):
+    """Seeded random tadpole-free connected diagrams: the canonical form
+    of each one of nonzero sign is in connected_diagrams(n, T)."""
+    classes = set(connected_diagrams(n, T))
+    rng = random.Random(seed)
+    nonzero = 0
+    for _ in range(count):
+        d = _tadpole_free(rng, n, T)
+        while len(decompose(d).components) > 1:
+            d = _tadpole_free(rng, n, T)
+        sd = canonicalize(d)
+        if sd.sign:
+            nonzero += 1
+            assert sd.diagram in classes, serialize(d)
+    return nonzero
+
+
+@pytest.mark.parametrize("n,T,seed", [(6, 6, 23), (7, 6, 29)])
+def test_connected_contains_random_samples(n, T, seed):
+    assert _assert_samples_enumerated(n, T, seed) > 0
 
 
 def _reference_canonical(d):
