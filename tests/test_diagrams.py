@@ -412,7 +412,8 @@ def _connected_multigraphs(T, E):
                 roots[find(a)] = find(b)
             if len({find(v) for v in range(T)}) == 1:
                 results.add(min(
-                    tuple(sorted(tuple(sorted((p[a], p[b]))) for a, b in edges))
+                    tuple(sorted(tuple(sorted((p[a], p[b])))
+                                 for a, b in edges))
                     for p in itertools.permutations(range(T))))
             return
         if idx == len(pairs):
