@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -112,15 +113,22 @@ def _resolve_knot(args) -> PlanarDiagram:
     if args.pd:
         return parse_pd(args.pd)
     head, colon, word = args.braid.rpartition(":")
+    # commas or blanks separate letters; two adjacent commas, or one at
+    # either end, leave an empty letter
+    word = word.strip()
+    fields = re.split(r"\s*,\s*|\s+", word) if word else []
     try:
-        letters = [int(x) for x in word.replace(",", " ").split()]
+        letters = [int(x) for x in fields if x]
         strands = int(head) if colon else None
     except ValueError:
         raise ValueError(f"malformed braid word: {args.braid!r}") from None
+    if strands is None and not letters:
+        raise ValueError("empty braid word: give the strand count as "
+                         "'k:', e.g. '2:' for the 2-component unlink")
+    if "" in fields:
+        raise ValueError(f"empty letter {fields.index('') + 1} in braid "
+                         f"word: {args.braid!r}")
     if strands is None:
-        if not letters:
-            raise ValueError("empty braid word: give the strand count as "
-                             "'k:', e.g. '2:' for the 2-component unlink")
         strands = max(abs(x) for x in letters) + 1
     return braid_closure(BraidWord(strands, letters))
 

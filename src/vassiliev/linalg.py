@@ -1,12 +1,13 @@
 """Exact rational linear algebra.
 
 Everything here works over exact rationals (or integer-scaled rows); no
-floating point.  There are two kernels: `SparseEliminator`, incremental
-integer row reduction for the few thousand sparse 4T relation rows, and
-`rref`, dense Fraction Gauss-Jordan for the small systems (order <= ~10)
-behind solving, rank, determinants and inverses.  Inserting a row,
-reducing a vector and back substitution are one integer row operation,
-`_cancel`, on rows scaled to integers once (`_integer_row`).
+floating point.  There are two kernels: `SparseEliminator`, an
+incremental sparse integer RREF of the 4T relation rows in which every
+pivot row holds exactly one pivot column, its least, and `rref`, dense
+Fraction Gauss-Jordan for the small systems (order <= ~10) behind
+solving, rank, determinants and inverses.  Inserting a row and reducing
+a vector are each one pass of one integer row operation, `_cancel`, on
+rows scaled to integers once (`_integer_row`).
 """
 
 from __future__ import annotations
@@ -54,13 +55,14 @@ def _cancel(row: dict[int, int], piv: dict[int, int],
 
 
 class SparseEliminator:
-    """Incremental exact row reduction of sparse integer rows.
+    """Incremental exact reduced row echelon form of sparse integer rows.
 
     Rows are dicts column -> int.  Pivot rows are kept integer (gcd
-    normalized); each pivot owns one column.  After feeding all rows,
-    `rank` is the row-space dimension and `reduce` maps any rational
-    vector to its residual modulo the row space (the unique one
-    supported off the pivot columns).
+    normalized); each owns its least column, which no other pivot row
+    holds, so they depend only on the row space.  `rank` is the
+    row-space dimension and `reduce` maps any rational vector to its
+    residual modulo the row space (the unique one supported off the
+    pivot columns).
     """
 
     def __init__(self) -> None:
@@ -71,48 +73,39 @@ class SparseEliminator:
         return len(self.pivots)
 
     def add_row(self, row: dict[int, Fraction | int]) -> bool:
-        """Insert a row; returns True if it increased the rank."""
+        """Insert a row; returns True if it increased the rank.
+
+        Each pivot column of the row is cancelled once; a nonzero
+        remainder becomes the pivot of its least column, which is then
+        cancelled out of every pivot row holding it.
+        """
         row = _integer_row(row)[0]
-        while row:
-            lead = min(row)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                self.pivots[lead] = _normalize_int_row(row)
-                return True
-            row = _normalize_int_row(_cancel(row, piv, lead))
-        return False
+        pivots = self.pivots
+        for col in [c for c in row if c in pivots]:
+            row = _cancel(row, pivots[col], col)
+        if not row:
+            return False
+        row = _normalize_int_row(row)
+        lead = min(row)
+        for col, piv in pivots.items():
+            if lead in piv:
+                pivots[col] = _normalize_int_row(_cancel(piv, row, lead))
+        pivots[lead] = row
+        return True
 
     def reduce(self, vec: dict[int, Fraction | int]) -> dict[int, Fraction]:
         """Residual of `vec` modulo the accumulated row space.
 
-        Scales `vec` to an integer row once, then cancels the smallest
-        pivot column it meets, multiplying the denominator by that
-        pivot's lead; each step only introduces larger columns, so this
-        terminates with a residual supported away from all pivot
-        columns.  That residual is unique, so it does not depend on
-        whether `back_substitute` ran.
+        Scales `vec` to an integer row once, then cancels each pivot
+        column it holds, multiplying the denominator by that pivot's
+        lead; no cancellation brings in another pivot column.
         """
         row, denom = _integer_row(vec)
         pivots = self.pivots
-        while True:
-            col = min((c for c in row if c in pivots), default=None)
-            if col is None:
-                return {c: Fraction(v, denom) for c, v in row.items()}
-            piv = pivots[col]
-            denom *= piv[col]
-            row = _cancel(row, piv, col)
-
-    def back_substitute(self) -> None:
-        """Fully reduce pivot rows against each other (RREF form)."""
-        cols = sorted(self.pivots)
-        for k in range(len(cols) - 1, -1, -1):
-            col = cols[k]
-            piv = self.pivots[col]
-            for col2 in cols[:k]:
-                row = self.pivots[col2]
-                if col in row:
-                    self.pivots[col2] = _normalize_int_row(
-                        _cancel(row, piv, col))
+        for col in [c for c in row if c in pivots]:
+            denom *= pivots[col][col]
+            row = _cancel(row, pivots[col], col)
+        return {c: Fraction(v, denom) for c, v in row.items()}
 
 
 def rref(matrix: list[list], ncols: int | None = None

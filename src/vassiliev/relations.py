@@ -230,8 +230,8 @@ class QuotientSpace:
     """Span of degree-i chord diagrams modulo 4T and isolated chords.
 
     `diagrams` is the ambient list of canonical chord diagrams without
-    an isolated chord; the 4T rows are reduced incrementally and kept as
-    integer pivot rows.
+    an isolated chord; the 4T rows are reduced incrementally, shortest
+    first, and kept as integer pivot rows in reduced echelon form.
     """
 
     def __init__(self, degree: int):
@@ -240,11 +240,9 @@ class QuotientSpace:
                          if not has_isolated_chord(c)]
         self.index = {d: i for i, d in enumerate(self.diagrams)}
         self.eliminator = SparseEliminator()
-        for rel in four_t_relations(degree).relations:
-            row = self._vector(rel)
-            if row:
-                self.eliminator.add_row(row)
-        self.eliminator.back_substitute()
+        rows = map(self._vector, four_t_relations(degree).relations)
+        for row in sorted(filter(None, rows), key=len):
+            self.eliminator.add_row(row)
 
     def _vector(self, s: DiagramSum) -> dict[int, int | Fraction]:
         # distinct canonical keys have distinct columns: no re-accumulation

@@ -4,6 +4,11 @@ from vassiliev.basis import shared_basis
 
 
 @pytest.fixture(scope="session")
+def basis7():
+    return shared_basis(7)
+
+
+@pytest.fixture(scope="session")
 def basis6():
     return shared_basis(6)
 

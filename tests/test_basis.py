@@ -51,6 +51,19 @@ def test_basis_degree6_elements_pinned(basis6):
     assert _serialize_body(6, basis6.by_degree) == expected.read_text()
 
 
+def test_basis_degree7_acceptance(basis7):
+    # Bar-Natan's table: d_7 = 14, d-hat_7 = 8; the degree-7 picks are
+    # pinned as the degree-6 ones are, and extend them unchanged
+    assert [basis7.d(i) for i in range(8)] == [1, 0, 1, 1, 3, 4, 9, 14]
+    assert [basis7.d_hat(i) for i in range(2, 8)] == [1, 1, 2, 3, 5, 8]
+    data = pathlib.Path(__file__).parent / "data"
+    body7 = (data / "basis7_body.txt").read_text()
+    assert _serialize_body(7, basis7.by_degree) == body7
+    # past the two header lines, degrees 0..6 are the degree-6 body
+    body6 = (data / "basis6_body.txt").read_text()
+    assert body7.split("\n", 2)[2].startswith(body6.split("\n", 2)[2])
+
+
 def test_basis_ordering_connected_first(basis6):
     for i in range(2, 7):
         kinds = [e.connected for e in basis6.elements(i)]

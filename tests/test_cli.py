@@ -218,6 +218,18 @@ def test_empty_braid_word(capsys):
     assert code == 0 and "homfly: -a*z^-1 + a^-1*z^-1" in out
 
 
+def test_empty_braid_letter_exit_2(capsys):
+    # an empty letter is named, not dropped: '2:1,,1,1' is not the
+    # trefoil '2:1,1,1'; blanks around or instead of commas still separate
+    for word, k in (("2:1,,1,1", 2), ("1,,1", 2), ("2:1,1,", 3), ("2:,", 1)):
+        code, out, err = run_cli(capsys, "jones", "--braid", word)
+        assert (code, out, err.strip()) == \
+            (2, "", f"error: empty letter {k} in braid word: {word!r}")
+    for word in ("2:1,1,1", "2:1, 1 ,1", "2:1 1 1"):
+        code, out, _ = run_cli(capsys, "jones", "--braid", word)
+        assert code == 0 and "jones: -t^4 + t^3 + t" in out, word
+
+
 def test_budget_exit_3(capsys):
     code, _, err = run_cli(capsys, "homfly", "--braid",
                            "2:" + ",".join(["1"] * 13))

@@ -157,17 +157,36 @@ def _reference_reduce(pivots, vec):
                 del vec[c]
 
 
-def _residuals_before_and_after(elim, vecs):
-    """elim's residuals of vecs before and after back substitution, each
-    checked against the reference loop."""
-    out = []
-    for _ in range(2):
-        res = [elim.reduce(v) for v in vecs]
-        assert res == [_reference_reduce(elim.pivots, v) for v in vecs]
-        assert all(type(x) is Fraction for r in res for x in r.values())
-        out.append(res)
-        elim.back_substitute()
-    return out
+def _eliminate_checked(rows, ncols):
+    """A SparseEliminator fed `rows`, checked after every add_row against
+    the dense `rref` of the rows so far: each pivot row holds exactly one
+    pivot column, its least, and the pivot rows, each divided by its
+    lead, are the nonzero rows of the dense RREF."""
+    elim = SparseEliminator()
+    dense: list[list[Fraction]] = []
+    for row in rows:
+        dense.append([row.get(c, 0) for c in range(ncols)])
+        dense, cols, _ = rref(dense)
+        dense = dense[:len(cols)]  # same row space, fewer rows to reduce
+        rank = elim.rank
+        assert elim.add_row(row) == (len(cols) > rank)
+        pivots = elim.pivots
+        assert sorted(pivots) == cols
+        for col, piv in pivots.items():
+            assert min(piv) == col
+            assert [c for c in piv if c in pivots] == [col]
+        assert [[Fraction(pivots[col].get(c, 0), pivots[col][col])
+                 for c in range(ncols)] for col in cols] == dense
+    return elim
+
+
+def _checked_residuals(elim, vecs):
+    """elim's residuals of vecs, checked against the reference loop."""
+    res = [elim.reduce(v) for v in vecs]
+    assert res == [_reference_reduce(elim.pivots, v) for v in vecs]
+    assert all(type(x) is Fraction for r in res for x in r.values())
+    assert all(c not in elim.pivots for r in res for c in r)
+    return res
 
 
 def test_sparse_eliminator_reduce_matches_reference():
@@ -185,28 +204,24 @@ def test_sparse_eliminator_reduce_matches_reference():
         integral = trial % 2 == 0
         rows = [sparse_row(ncols, integral)
                 for _ in range(rng.randint(1, ncols))]
-        elim = SparseEliminator()
-        for row in rows:
-            elim.add_row(row)
+        elim = _eliminate_checked(rows, ncols)
         assert elim.rank == matrix_rank(
             [[r.get(c, 0) for c in range(ncols)] for r in rows])
-        vecs = [sparse_row(ncols, rng.random() < 0.5) for _ in range(8)]
-        before, after = _residuals_before_and_after(elim, vecs)
-        assert before == after
-        assert all(c not in elim.pivots for r in after for c in r)
+        _checked_residuals(
+            elim, [sparse_row(ncols, rng.random() < 0.5) for _ in range(8)])
 
 
 def test_sparse_eliminator_quotient_residuals_match_reference():
-    # every chord diagram of degree <= 5 against its reduced quotient,
-    # on a fresh elimination of the 4T rows and on the cached quotient
+    # the 4T rows of degree <= 5 in their generated order, against the
+    # dense RREF and the cached quotient (which feeds them shortest
+    # first); every chord diagram's residual against the reference loop
     for n in range(1, 6):
         space = quotient_space(n, True)
+        rows = [row for row in map(space._vector,
+                                   four_t_relations(n).relations) if row]
+        elim = _eliminate_checked(rows, len(space.diagrams))
+        assert elim.pivots == space.eliminator.pivots
         vecs = [{space.index[d]: 1} for d in chord_diagrams(n)
                 if not has_isolated_chord(d)]
-        elim = SparseEliminator()
-        for rel in four_t_relations(n).relations:
-            row = space._vector(rel)
-            if row:
-                elim.add_row(row)
-        before, after = _residuals_before_and_after(elim, vecs)
-        assert before == after == [space.eliminator.reduce(v) for v in vecs]
+        assert _checked_residuals(elim, vecs) == \
+            [space.eliminator.reduce(v) for v in vecs]

@@ -202,7 +202,6 @@ def _framed_oracle(degree):
     elim = SparseEliminator()
     for rel in four_t_relations(degree).relations:
         elim.add_row({index[d]: c for d, c in rel.terms.items()})
-    elim.back_substitute()
     return index, elim
 
 
