@@ -6,7 +6,7 @@ probes, cache directory) so results are reproducible; output is
 deterministic for a fixed configuration and cache state.
 
 Exit codes: 0 success, 1 check failure, 2 usage or input error,
-3 skein budget exceeded.
+3 crossing or component budget exceeded.
 """
 
 from __future__ import annotations

@@ -17,10 +17,12 @@ Invariants:
   * kauffman_bracket / jones -- state sum over the 2^n smoothings,
     counted into a (B-smoothings, loops) histogram with one Laurent
     term per class, writhe-corrected and normalized to 1 on the unknot;
-    at most BRACKET_CROSSING_BUDGET crossings;
+    at most BRACKET_CROSSING_BUDGET crossings and COMPONENT_BUDGET
+    components;
   * homfly -- skein recursion (a P+ - a^{-1} P- = z P0, unknot = 1)
     toward descending diagrams, memoized on a canonical diagram code;
-    at most HOMFLY_CROSSING_BUDGET crossings;
+    at most HOMFLY_CROSSING_BUDGET crossings and COMPONENT_BUDGET
+    components;
   * sun_slice -- the su(N) one-variable specialization a = q^N,
     z = q - q^{-1}; at N = 2 it recovers jones with t = q^2.
 """
@@ -35,11 +37,22 @@ from .laurent import Laurent1, Laurent2
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when a diagram exceeds the crossing budget of an invariant."""
+    """Raised when a diagram exceeds a crossing or component budget."""
 
 
 HOMFLY_CROSSING_BUDGET = 10
 BRACKET_CROSSING_BUDGET = 16
+# components, free loops included: an n-component unlink has an n-term
+# answer with n-bit coefficients, so free strands cost as crossings do
+COMPONENT_BUDGET = 100
+
+
+def _check_component_budget(state: "_OrientedState") -> None:
+    comps = state.component_count()
+    if comps > COMPONENT_BUDGET:
+        raise BudgetExceededError(
+            f"{comps} components exceed the component budget of "
+            f"{COMPONENT_BUDGET}")
 
 
 # --------------------------------------------------------------------------
@@ -245,10 +258,12 @@ def kauffman_bracket(pd: PlanarDiagram) -> Laurent1:
         raise BudgetExceededError(
             f"{n} crossings exceed the bracket budget of "
             f"{BRACKET_CROSSING_BUDGET}")
+    oriented = _OrientedState.from_planar(pd)
+    _check_component_budget(oriented)
     # corner 4k + p is port p of crossing k; arc[c] is the other end of
     # the arc at corner c
     arc = [0] * (4 * n)
-    for (k, p), (k2, p2) in _OrientedState.from_planar(pd).wiring.items():
+    for (k, p), (k2, p2) in oriented.wiring.items():
         arc[4 * k + p] = 4 * k2 + p2
     classes: dict[tuple[int, int], int] = {}
     for state in range(1 << n):
@@ -278,8 +293,9 @@ def jones(pd: PlanarDiagram) -> Laurent1:
     """Jones polynomial in t, unknot-normalized, writhe-corrected."""
     bracket = kauffman_bracket(pd)
     w = pd.writhe()
-    # multiply by (-A^3)^(-w)
-    corr = Laurent1.term((-1) ** w, -3 * w, var="A")
+    # multiply by (-A^3)^(-w); the sign is (-1) ** abs(w), as (-1) ** w
+    # is a float for w < 0
+    corr = Laurent1.term((-1) ** abs(w), -3 * w, var="A")
     f = bracket * corr
     out = {}
     for e, coeff in f.coeffs.items():
@@ -359,29 +375,35 @@ class _OrientedState:
         return sum(1 for _ in self._walk_components()) + self.loops
 
     def first_bad_crossing(self):
-        """First crossing reached on its under strand before any other
-        visit, along the deterministic walk; None if descending."""
+        """(k, None) for the first crossing k reached on its under strand
+        before any other visit, along the deterministic walk; (None,
+        component count) if the diagram is descending."""
         visited = set()
+        comps = self.loops
         for comp in self._walk_components():
+            comps += 1
             for (k, p) in comp:
                 if k not in visited:
                     visited.add(k)
                     if p == 0:  # arrived on the under strand first
-                        return k
-        return None
+                        return k, None
+        return None, comps
 
     def switched(self, k: int) -> "_OrientedState":
         """Same diagram with crossing k switched."""
         shift = _over_in(self.signs[k])
         signs = dict(self.signs)
         signs[k] = -signs[k]
-
-        def relabel(ep):
-            if ep[0] == k:
-                return (k, (ep[1] - shift) % 4)
-            return ep
-
-        wiring = {relabel(a): relabel(b) for a, b in self.wiring.items()}
+        # only the four ports of k are renumbered, so only they and the
+        # far ends of their arcs are rewired
+        wiring = dict(self.wiring)
+        for p in range(4):
+            far = self.wiring[(k, p)]
+            if far[0] == k:
+                far = (k, (far[1] - shift) % 4)
+            port = (k, (p - shift) % 4)
+            wiring[port] = far
+            wiring[far] = port
         return _OrientedState(signs, wiring, self.loops)
 
     def smoothed(self, k: int) -> "_OrientedState":
@@ -536,9 +558,10 @@ class _OrientedState:
 # HOMFLY
 
 
-_A = Laurent2.term(1, 1, 0)
-_AINV = Laurent2.term(1, -1, 0)
-_Z = Laurent2.term(1, 0, 1)
+_A2 = Laurent2.term(1, 2, 0)
+_AZ = Laurent2.term(1, 1, 1)
+_AINV2 = Laurent2.term(1, -2, 0)
+_AINVZ = Laurent2.term(1, -1, 1)
 _DELTA = Laurent2({(-1, -1): 1, (1, -1): -1})  # (1/a - a)/z
 
 _HOMFLY_MEMO: dict[tuple, Laurent2] = {}
@@ -549,9 +572,8 @@ def _homfly_state(state: _OrientedState) -> Laurent2:
     cached = _HOMFLY_MEMO.get(code)
     if cached is not None:
         return cached
-    bad = state.first_bad_crossing()
+    bad, comps = state.first_bad_crossing()
     if bad is None:
-        comps = state.component_count()
         val = _DELTA ** (comps - 1) if comps > 1 else Laurent2.one()
     else:
         sign = state.signs[bad]
@@ -559,9 +581,9 @@ def _homfly_state(state: _OrientedState) -> Laurent2:
         smoothed = _homfly_state(state.smoothed(bad))
         if sign > 0:
             # a^-1 P+ - a P- = z P0  =>  P+ = a^2 P- + a z P0
-            val = _A * _A * switched + _A * _Z * smoothed
+            val = _A2 * switched + _AZ * smoothed
         else:
-            val = _AINV * _AINV * switched - _AINV * _Z * smoothed
+            val = _AINV2 * switched - _AINVZ * smoothed
     _HOMFLY_MEMO[code] = val
     return val
 
@@ -574,7 +596,9 @@ def homfly(knot: "PlanarDiagram | BraidWord") -> Laurent2:
         raise BudgetExceededError(
             f"{knot.n_crossings} crossings exceed the skein budget of "
             f"{HOMFLY_CROSSING_BUDGET}")
-    return _homfly_state(_OrientedState.from_planar(knot))
+    state = _OrientedState.from_planar(knot)
+    _check_component_budget(state)
+    return _homfly_state(state)
 
 
 def sun_slice(h: Laurent2, n: int) -> Laurent1:

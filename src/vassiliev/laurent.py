@@ -1,10 +1,11 @@
 """Exact sparse polynomials: one ring kernel and its variants.
 
 `SparsePoly` is a dict from monomial keys to nonzero exact coefficients
-(`int` or `Fraction`) with the ring operations, equality, hashing and
-printing.  A subclass supplies only its monomial product, its unit
-monomial, how a monomial prints as (name, exponent) factors, and its
-print order.
+with the ring operations, equality, hashing and printing.  An `int`
+coefficient stays an `int` (the bracket, skein and slice arithmetic is
+integer throughout); any other value becomes a `Fraction`.  A subclass
+supplies only its monomial product, its unit monomial, how a monomial
+prints as (name, exponent) factors, and its print order.
 
 `Laurent1` (keys: int exponents) and `Laurent2` (keys: (int, int))
 carry weight-system values (variable N), bracket/Jones polynomials
@@ -25,8 +26,9 @@ _ONE = Fraction(1)
 class SparsePoly:
     """Sparse polynomial with exact coefficients.
 
-    `coeffs` maps each monomial key to its nonzero `int` or `Fraction`
-    coefficient; `names` holds the variable names used by the printer.
+    `coeffs` maps each monomial key to its nonzero coefficient, kept as
+    given if it is an `int` and converted to `Fraction` otherwise;
+    `names` holds the variable names used by the printer.
     Subclasses set `_UNIT` (the key of the constant monomial),
     `_DESCENDING` (print order) and define `_mono_mul(m1, m2)` (the
     product of two keys) and `_factors(m)` (the (name, exponent) pairs a
@@ -43,7 +45,8 @@ class SparsePoly:
         self.coeffs: dict = {}
         if coeffs:
             for m, c in dict(coeffs).items():
-                c = Fraction(c)
+                if type(c) is not int:
+                    c = Fraction(c)
                 if c:
                     self.coeffs[m] = c
 
@@ -56,7 +59,7 @@ class SparsePoly:
 
     def _lift(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._new({self._UNIT: Fraction(other)} if other else {})
+            return self._new({self._UNIT: other} if other else {})
         return other
 
     def __bool__(self):
@@ -113,7 +116,7 @@ class SparsePoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = self._new({self._UNIT: _ONE})
+        out = self._new({self._UNIT: 1})
         base = self
         while n:
             if n & 1:
@@ -187,7 +190,9 @@ class Laurent1(SparsePoly):
             if len(self.coeffs) != 1:
                 raise ValueError("cannot invert a non-monomial")
             ((e, c),) = self.coeffs.items()
-            return self._new({-e: _ONE / c}) ** (-n)
+            # a unit is its own inverse, so an int unit stays an int
+            inv = c if c == 1 or c == -1 else _ONE / c
+            return self._new({-e: inv}) ** (-n)
         return super().__pow__(n)
 
     def substitute_monomial(self, k: int, var: str | None = None) -> "Laurent1":

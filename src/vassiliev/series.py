@@ -8,13 +8,20 @@ truncations truncates to the smaller K.  No floating point anywhere.
 The coefficient helpers (`seq_mul`, `seq_exp`, `seq_log`)
 are duck-typed over the coefficient ring: they are reused with
 polynomial-valued coefficients for formal resummation identities.
+`seq_exp` and `seq_log` solve the derivative recurrences of b = exp(a)
+and b = log(a), O(K^2) products and never a power of the series:
+
+    exp:  n b_n = sum_{k=1..n} k a_k b_{n-k}
+    log:  n b_n = n a_n - sum_{k=1..n-1} k b_k a_{n-k}   (a_0 = 1)
+
+`substitute_exponential` takes integer power sums of the exponents and
+builds one `Fraction` per output coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from .laurent import Laurent1
 
@@ -34,36 +41,41 @@ def seq_mul(a: list, b: list, K: int, zero=_ZERO) -> list:
 
 
 def seq_exp(a: list, K: int, zero=_ZERO, one=Fraction(1)) -> list:
-    """exp of a series with vanishing constant term."""
+    """exp of a series with vanishing constant term.
+
+    b = exp(a) solves b' = a' b, that is n b_n = sum_{k=1..n} k a_k b_{n-k}.
+    """
     if a and a[0] != zero:
         raise ValueError("exp requires a vanishing constant term")
-    out = [zero for _ in range(K + 1)]
-    out[0] = one
-    term = [zero for _ in range(K + 1)]
-    term[0] = one
-    for k in range(1, K + 1):
-        term = seq_mul(term, a, K, zero=zero)
-        inv = Fraction(1, factorial(k))
-        for i in range(K + 1):
-            if term[i] != zero:
-                out[i] = out[i] + term[i] * inv
+    da = [k * a[k] if k < len(a) else zero for k in range(K + 1)]
+    out = [one] + [zero] * K
+    for n in range(1, K + 1):
+        acc = zero
+        for k in range(1, n + 1):
+            if da[k] != zero and out[n - k] != zero:
+                acc = acc + da[k] * out[n - k]
+        out[n] = acc * Fraction(1, n)
     return out
 
 
 def seq_log(a: list, K: int, zero=_ZERO, one=Fraction(1)) -> list:
-    """log of a series with constant term one."""
+    """log of a series with constant term one.
+
+    b = log(a) solves a b' = a', that is
+    n b_n = n a_n - sum_{k=1..n-1} k b_k a_{n-k}.
+    """
     if not a or a[0] != one:
         raise ValueError("log requires constant term one")
-    u = [zero if i == 0 else (a[i] if i < len(a) else zero) for i in range(K + 1)]
-    out = [zero for _ in range(K + 1)]
-    term = [zero for _ in range(K + 1)]
-    term[0] = one
-    for k in range(1, K + 1):
-        term = seq_mul(term, u, K, zero=zero)
-        coeff = Fraction((-1) ** (k + 1), k)
-        for i in range(K + 1):
-            if term[i] != zero:
-                out[i] = out[i] + term[i] * coeff
+    a = [a[i] if i < len(a) else zero for i in range(K + 1)]
+    out = [zero] * (K + 1)
+    db = [zero] * (K + 1)  # k b_k
+    for n in range(1, K + 1):
+        acc = zero
+        for k in range(1, n):
+            if db[k] != zero and a[n - k] != zero:
+                acc = acc + db[k] * a[n - k]
+        db[n] = n * a[n] - acc
+        out[n] = db[n] * Fraction(1, n)
     return out
 
 
@@ -161,14 +173,20 @@ def substitute_exponential(p: Laurent1, order: int,
                            scale: Fraction = Fraction(1)) -> RationalSeries:
     """Replace the variable of a Laurent polynomial by exp(scale*x).
 
-    Each term q*t^m contributes q*exp(m*scale*x); the result is the exact
-    truncated series of the substituted polynomial.
+    Each term q*t^m contributes q*exp(m*scale*x), so with scale = u/v the
+    k-th coefficient is S_k u^k / (k! v^k), where S_k = sum q*m^k is
+    exact integer work for integer q; the result is the exact truncated
+    series of the substituted polynomial.
     """
-    coeffs = [_ZERO] * (order + 1)
-    for m, q in p.coeffs.items():
-        rate = m * scale
-        power = Fraction(1)
-        for k in range(order + 1):
-            coeffs[k] += q * power
-            power = power * rate / (k + 1)
+    scale = Fraction(scale)
+    num, den = scale.numerator, scale.denominator
+    rates = list(p.coeffs)
+    sums = list(p.coeffs.values())  # q * m^k per term, at k = 0
+    coeffs = []
+    top, bottom = 1, 1  # num^k and k! den^k
+    for k in range(order + 1):
+        coeffs.append(Fraction(sum(sums) * top, bottom))
+        sums = [s * m for s, m in zip(sums, rates)]
+        top *= num
+        bottom *= (k + 1) * den
     return RationalSeries(coeffs)

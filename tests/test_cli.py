@@ -1,11 +1,12 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
 from vassiliev.cli import main
-from vassiliev.knots import BRACKET_CROSSING_BUDGET
+from vassiliev.knots import BRACKET_CROSSING_BUDGET, COMPONENT_BUDGET
 
 
 def run_cli(capsys, *argv):
@@ -237,6 +238,52 @@ def test_budget_exit_3(capsys):
     code, out, err = run_cli(capsys, "jones", "--braid", "2:" + ",".join(
         ["1"] * (BRACKET_CROSSING_BUDGET + 1)))
     assert code == 3 and not out and "budget" in err
+
+
+def test_component_budget_exit_3(capsys):
+    # an s:1 braid closes to s - 1 components, free loops included
+    over = f"{COMPONENT_BUDGET + 2}:1"
+    for command in ("homfly", "jones"):
+        code, out, err = run_cli(capsys, command, "--braid", over)
+        assert code == 3 and not out, command
+        assert err.strip() == (f"error: {COMPONENT_BUDGET + 1} components "
+                               f"exceed the component budget of "
+                               f"{COMPONENT_BUDGET}")
+    # at the limit: 100 components for homfly, and jones (which refuses
+    # an even component count) 99
+    code, out, _ = run_cli(capsys, "homfly", "--braid",
+                           f"{COMPONENT_BUDGET + 1}:1")
+    assert code == 0 and "homfly: " in out
+    code, out, _ = run_cli(capsys, "jones", "--braid",
+                           f"{COMPONENT_BUDGET}:1")
+    assert code == 0 and "jones: " in out
+
+
+def _json_leaves(value):
+    if isinstance(value, dict):
+        for v in value.values():
+            yield from _json_leaves(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _json_leaves(v)
+    else:
+        yield value
+
+
+def test_json_reports_hold_no_float(capsys):
+    # exact values only: no JSON number with a fraction part, and no
+    # decimal point in a printed value or polynomial
+    for name in ("3_1", "4_1"):
+        for command, extra in (("jones", ()), ("homfly", ()),
+                               ("extract", ("--max-degree", "4")),
+                               ("verify", ("--max-degree", "4"))):
+            code, out, _ = run_cli(capsys, command, "--knot", name, *extra,
+                                   "--format", "json")
+            assert code == 0, (command, name)
+            for leaf in _json_leaves(json.loads(out)):
+                assert not isinstance(leaf, float), (command, name, leaf)
+                assert not (isinstance(leaf, str)
+                            and re.search(r"\d\.\d", leaf)), (command, leaf)
 
 
 def test_byte_identical_reports():

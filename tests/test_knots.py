@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from vassiliev.knots import (
     BRACKET_CROSSING_BUDGET,
+    COMPONENT_BUDGET,
     HOMFLY_CROSSING_BUDGET,
     _OrientedState,
     _splice_pseudo,
@@ -297,6 +298,32 @@ def test_random_braid_knots_slice_oracle():
         checked += 1
 
 
+def _assert_int_coefficients(poly, what):
+    kinds = {type(c).__name__ for c in poly.coeffs.values()}
+    assert kinds <= {"int"}, (what, kinds)
+
+
+def test_knot_polynomials_keep_int_coefficients():
+    # the bracket, skein and slice arithmetic is integer throughout; a
+    # stray Fraction would put the knot layer back on fractions.Fraction
+    cases = [(name, knot(name)) for base in knot_names()
+             for name in (base, base + "!")]
+    rng = random.Random(83)
+    while len(cases) < 2 * len(knot_names()) + 12:
+        strands = rng.randint(2, 4)
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 9))]
+        if _is_knot_braid(strands, word):
+            pd = braid_closure(BraidWord(strands, word))
+            cases.append(((strands, word), pd))
+    for what, pd in cases:
+        _assert_int_coefficients(jones(pd), what)
+        h = homfly(pd)
+        _assert_int_coefficients(h, what)
+        for n in range(2, 6):
+            _assert_int_coefficients(sun_slice(h, n), (what, n))
+
+
 def test_homfly_memo_matches_fresh():
     # the skein memo is keyed on canonical_code; a key that merged two
     # different states would make shared-memo values differ from fresh ones
@@ -428,6 +455,22 @@ def test_bracket_budget():
     word = BraidWord(2, [1] * (BRACKET_CROSSING_BUDGET + 1))
     with pytest.raises(BudgetExceededError, match="budget"):
         jones(braid_closure(word))
+
+
+def test_component_budget_counts_free_loops():
+    # an s:1 braid closes to s - 1 components, s - 2 of them free loops
+    at_limit = braid_closure(BraidWord(COMPONENT_BUDGET + 1, [1]))
+    over = braid_closure(BraidWord(COMPONENT_BUDGET + 2, [1]))
+    assert at_limit.loops == COMPONENT_BUDGET - 1
+    assert homfly(at_limit) == Laurent2({(-1, -1): 1, (1, -1): -1}) ** (
+        COMPONENT_BUDGET - 1)
+    assert kauffman_bracket(at_limit).coeffs
+    loops_only = PlanarDiagram([], COMPONENT_BUDGET + 1)
+    for pd in (over, loops_only):
+        for invariant in (homfly, kauffman_bracket):
+            with pytest.raises(BudgetExceededError, match=(
+                    f"component budget of {COMPONENT_BUDGET}")):
+                invariant(pd)
 
 
 def _reference_smoothed(state: _OrientedState, k: int) -> _OrientedState:

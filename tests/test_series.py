@@ -4,13 +4,73 @@ from math import factorial
 
 import pytest
 
+from vassiliev.formal import MultiPoly
 from vassiliev.laurent import Laurent1
 from vassiliev.series import (
     RationalSeries,
     exp_series,
     log_series,
+    seq_exp,
+    seq_log,
+    seq_mul,
     substitute_exponential,
 )
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+# reference kernels: sums of powers of the series and a per-term
+# substitution loop, kept as oracles for the recurrences and power sums
+
+
+def _reference_exp(a, K, zero=_ZERO, one=_ONE):
+    out = [zero for _ in range(K + 1)]
+    out[0] = one
+    term = [zero for _ in range(K + 1)]
+    term[0] = one
+    for k in range(1, K + 1):
+        term = seq_mul(term, a, K, zero=zero)
+        inv = Fraction(1, factorial(k))
+        for i in range(K + 1):
+            if term[i] != zero:
+                out[i] = out[i] + term[i] * inv
+    return out
+
+
+def _reference_log(a, K, zero=_ZERO, one=_ONE):
+    u = [zero if i == 0 else (a[i] if i < len(a) else zero)
+         for i in range(K + 1)]
+    out = [zero for _ in range(K + 1)]
+    term = [zero for _ in range(K + 1)]
+    term[0] = one
+    for k in range(1, K + 1):
+        term = seq_mul(term, u, K, zero=zero)
+        coeff = Fraction((-1) ** (k + 1), k)
+        for i in range(K + 1):
+            if term[i] != zero:
+                out[i] = out[i] + term[i] * coeff
+    return out
+
+
+def _reference_substitute(p, order, scale=_ONE):
+    coeffs = [_ZERO] * (order + 1)
+    for m, q in p.coeffs.items():
+        rate = m * scale
+        power = Fraction(1)
+        for k in range(order + 1):
+            coeffs[k] += q * power
+            power = power * rate / (k + 1)
+    return RationalSeries(coeffs)
+
+
+def _rand_seq(rng, K, constant):
+    """Seeded random Fraction coefficients, sparse or dense."""
+    density = rng.choice((0.25, 1.0))
+    out = [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+           if rng.random() < density else _ZERO for _ in range(K + 1)]
+    out[0] = constant
+    return out
 
 
 def rand_series(rng, order, constant=None):
@@ -123,3 +183,63 @@ def test_substitute_exponential_scale():
     t = Laurent1({2: 1}, var="q")  # q^2 at q = e^{x/2} is e^x
     s = substitute_exponential(t, K, scale=Fraction(1, 2))
     assert s == substitute_exponential(Laurent1({1: 1}), K)
+
+
+def test_exp_log_match_power_sum_reference():
+    rng = random.Random(171)
+    for _ in range(300):
+        K = rng.randint(0, 10)
+        a = _rand_seq(rng, K, _ZERO)
+        assert seq_exp(a, K) == _reference_exp(a, K)
+        u = _rand_seq(rng, K, _ONE)
+        assert seq_log(u, K) == _reference_log(u, K)
+    # a series shorter than the truncation order is padded with zeros
+    assert seq_exp([_ZERO, _ONE], 6) == _reference_exp([_ZERO, _ONE], 6)
+    assert seq_log([_ONE, _ONE], 6) == _reference_log([_ONE, _ONE], 6)
+
+
+def test_exp_log_match_reference_over_polynomials():
+    # duck-typed coefficients, as in the resummation identities
+    rng = random.Random(172)
+    zero, one = MultiPoly.zero(), MultiPoly.one()
+    syms = [MultiPoly.sym(s) for s in ("u", "v", "w")]
+
+    def rand_coeff():
+        c = zero
+        for sym in rng.sample(syms, rng.randint(0, 2)):
+            c = c + sym ** rng.randint(1, 2) * Fraction(rng.randint(-4, 4),
+                                                        rng.randint(1, 3))
+        return c
+
+    for _ in range(25):
+        K = rng.randint(1, 6)
+        a = [zero] + [rand_coeff() for _ in range(K)]
+        assert [str(c) for c in seq_exp(a, K, zero=zero, one=one)] == \
+            [str(c) for c in _reference_exp(a, K, zero=zero, one=one)]
+        u = [one] + a[1:]
+        assert [str(c) for c in seq_log(u, K, zero=zero, one=one)] == \
+            [str(c) for c in _reference_log(u, K, zero=zero, one=one)]
+
+
+def test_exp_log_round_trips():
+    rng = random.Random(173)
+    for _ in range(100):
+        K = rng.randint(0, 10)
+        a = _rand_seq(rng, K, _ZERO)
+        assert seq_log(seq_exp(a, K), K) == a
+        one_plus = _rand_seq(rng, K, _ONE)
+        assert seq_exp(seq_log(one_plus, K), K) == one_plus
+
+
+def test_substitute_exponential_matches_reference():
+    rng = random.Random(174)
+    for _ in range(60):
+        terms = {rng.randint(-12, 12): rng.choice(
+            (rng.randint(-9, 9),
+             Fraction(rng.randint(-9, 9), rng.randint(1, 5))))
+            for _ in range(rng.randint(0, 6))}
+        p = Laurent1(terms, var="q")
+        order = rng.randint(0, 10)
+        for scale in (_ONE, Fraction(1, 2), Fraction(-2, 3)):
+            assert substitute_exponential(p, order, scale) == \
+                _reference_substitute(p, order, scale)
