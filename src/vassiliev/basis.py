@@ -77,18 +77,15 @@ class Coordinates:
 class CanonicalBasis:
     """Per-degree ordered element lists, connected elements first.
 
-    `residuals` maps (degree, index) to the element's class in the
-    reduced quotient of its degree.  `canonical_basis` fills it while
-    selecting elements; a basis read by `load_basis` starts empty, and
-    `residual` builds a degree's 4T quotient on first use.
+    A basis holds only its elements; the quotient it spans is the
+    degree's `quotient_space`, which `coordinates` reads on first use
+    at that degree, whether the basis was built or loaded.
     """
 
     def __init__(self, max_degree: int, by_degree: dict[int, list[BasisElement]],
-                 residuals: dict[tuple[int, int], dict[int, Fraction]],
                  version: str):
         self.max_degree = max_degree
         self.by_degree = by_degree
-        self.residuals = residuals  # (degree, index) -> quotient residual
         self.version = version
 
     def elements(self, degree: int) -> list[BasisElement]:
@@ -108,14 +105,6 @@ class CanonicalBasis:
 
     def element(self, degree: int, index: int) -> BasisElement:
         return self.by_degree[degree][index]
-
-    def residual(self, e: BasisElement) -> dict[int, Fraction]:
-        """Class of element e in the reduced quotient of its degree."""
-        key = (e.degree, e.index)
-        if key not in self.residuals:
-            self.residuals[key] = quotient_space(e.degree, True).residual(
-                e.diagram)
-        return self.residuals[key]
 
 
 def _code_version() -> str:
@@ -161,14 +150,12 @@ def canonical_basis(max_degree: int) -> CanonicalBasis:
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     by_degree: dict[int, list[BasisElement]] = {}
-    residuals: dict[tuple[int, int], dict[int, Fraction]] = {}
     # connected labels (degree, index) in ascending order -> diagram
     connected_diagram_of: dict[tuple[int, int], Diagram] = {}
 
     for i in range(max_degree + 1):
         if i == 0:
             by_degree[0] = [BasisElement(0, 0, EMPTY, ())]
-            residuals[(0, 0)] = {0: Fraction(1)}
             continue
         if i == 1:
             by_degree[1] = []  # no framing-independent structures
@@ -184,25 +171,23 @@ def canonical_basis(max_degree: int) -> CanonicalBasis:
                 continue
             diag = canonicalize(product_all(
                 connected_diagram_of[key] for key in multiset)).diagram
-            res = space.residual(diag)
-            if not elim.add_row(dict(res)):
+            if not elim.add_row(space.residual(diag)):
                 raise RuntimeError(
                     f"degree {i}: composite {multiset} is linearly dependent "
                     "on earlier products; canonical-basis composition fails")
-            composites.append((multiset, diag, res))
+            composites.append((multiset, diag))
         if len(composites) > target:
             raise RuntimeError(
                 f"degree {i}: more composites ({len(composites)}) than "
                 f"dimensions ({target})")
 
-        picks: list[tuple[Diagram, dict]] = []
+        picks: list[Diagram] = []
         quota = target - len(composites)
         T = max(1, i - 1)
         while len(picks) < quota and T <= 2 * i - 2:
             for cand in connected_diagrams(i, T):
-                res = space.residual(cand)
-                if elim.add_row(dict(res)):
-                    picks.append((cand, res))
+                if elim.add_row(space.residual(cand)):
+                    picks.append(cand)
                     if len(picks) == quota:
                         break
             T += 1
@@ -212,20 +197,17 @@ def canonical_basis(max_degree: int) -> CanonicalBasis:
                 f"diagrams, need {quota}")
 
         elements = []
-        for idx, (diag, res) in enumerate(picks):
+        for idx, diag in enumerate(picks):
             elements.append(BasisElement(i, idx, diag, ((i, idx),)))
-            residuals[(i, idx)] = res
             connected_diagram_of[(i, idx)] = diag
-        for off, (multiset, diag, res) in enumerate(composites):
-            idx = quota + off
-            elements.append(BasisElement(i, idx, diag, multiset))
-            residuals[(i, idx)] = res
+        for off, (multiset, diag) in enumerate(composites):
+            elements.append(BasisElement(i, quota + off, diag, multiset))
         by_degree[i] = elements
 
     body = _serialize_body(max_degree, by_degree)
     version = hashlib.sha256(
         (body + _code_version()).encode()).hexdigest()[:16]
-    return CanonicalBasis(max_degree, by_degree, residuals, version)
+    return CanonicalBasis(max_degree, by_degree, version)
 
 
 @functools.cache
@@ -244,12 +226,12 @@ _OFF_SPAN = ("diagram class not in the basis span; the basis construction "
 def coordinates(d: Diagram, basis: CanonicalBasis) -> Coordinates:
     """Exact coordinates of a diagram in the basis at its degree.
 
-    The residuals of the degree's elements, restricted to their joint
-    support (the quotient's non-pivot columns), form a square invertible
-    matrix that does not depend on d; its inverse is built once per
-    (basis, degree) and the coordinates are one product with d's
-    residual.  The result c satisfies: d - sum(c_j * element_j) lies in
-    the span of the degree's relations (verified before returning).
+    With the degree's quotient residuals in columns below `tags`, the
+    basis eliminator holds [R | -I]: row j is element j's residual with
+    -1 in column tags + j.  Reducing d's residual r against it leaves
+    (0 | c) exactly when r = sum(c_j * R_j), that is, when d -
+    sum(c_j * element_j) lies in the span of the degree's relations; a
+    surviving quotient column means d is off the basis span.
     """
     i = d.degree
     if i > basis.max_degree:
@@ -257,36 +239,27 @@ def coordinates(d: Diagram, basis: CanonicalBasis) -> Coordinates:
     if has_isolated_chord(d):
         raise ValueError("diagram has an isolated chord; it is zero in the "
                          "reduced quotient spanned by the basis")
-    target = quotient_space(i, True).residual(d)
-    support, matrix, inverse = _basis_inverse(basis, i)
-    rhs = [target.pop(s, Fraction(0)) for s in support]
-    if target:  # the residual is a fresh dict; what is left is off support
+    space = quotient_space(i, True)
+    tags = len(space.diagrams)
+    res = _basis_eliminator(basis, i).reduce(space.residual(d))
+    if any(c < tags for c in res):
         raise RuntimeError(_OFF_SPAN)
-    sol = [sum((a * r for a, r in zip(row, rhs)), Fraction(0))
-           for row in inverse]
-    # exactness check: the support covers the target and every column,
-    # so the residual of the difference vanishes iff every row holds
-    if any(sum(c * v for c, v in zip(sol, row)) != r
-           for row, r in zip(matrix, rhs)):
-        raise RuntimeError("coordinate verification failed")
-    return Coordinates(i, tuple(sol))
+    return Coordinates(i, tuple(res.get(tags + j, Fraction(0))
+                                for j in range(basis.d(i))))
 
 
 @functools.cache
-def _basis_inverse(basis: CanonicalBasis, degree: int) -> tuple:
-    """(support, matrix, inverse) of a degree's basis residuals: the
-    sorted columns they touch, the support x d matrix whose column j is
-    element j's residual, and its inverse (all empty for a degree
-    without elements)."""
-    cols = [basis.residual(e) for e in basis.elements(degree)]
-    support = sorted({c for col in cols for c in col})
-    if len(support) != len(cols):
+def _basis_eliminator(basis: CanonicalBasis, degree: int) -> SparseEliminator:
+    """Eliminator of the rows [R | -I] of a degree's basis elements,
+    which must pivot on quotient columns only and fill the quotient."""
+    space = quotient_space(degree, True)
+    tags = len(space.diagrams)
+    elim = SparseEliminator()
+    for j, e in enumerate(basis.elements(degree)):
+        elim.add_row({**space.residual(e.diagram), tags + j: -1})
+    if any(c >= tags for c in elim.pivots) or elim.rank != space.dimension:
         raise RuntimeError(_OFF_SPAN)
-    matrix = [[col.get(s, Fraction(0)) for col in cols] for s in support]
-    try:
-        return support, matrix, invert(matrix)
-    except ValueError:
-        raise RuntimeError(_OFF_SPAN) from None
+    return elim
 
 
 # --------------------------------------------------------------------------
@@ -552,7 +525,7 @@ def load_basis(path: str) -> CanonicalBasis:
         for e in elems:
             reduce_to_chords(e.diagram)
     version = header.get("version", "")
-    return CanonicalBasis(max_degree, by_degree, {}, version)
+    return CanonicalBasis(max_degree, by_degree, version)
 
 
 def _split_element(ln: str):

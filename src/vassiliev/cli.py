@@ -333,9 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, probes=False, knots=False):
         p.add_argument("--max-degree", type=_degree, default=4)
-        p.add_argument("--reduced", dest="reduced", action="store_true",
-                       default=True)
-        p.add_argument("--unreduced", dest="reduced", action="store_false")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--cache-dir", default=None)
         p.add_argument("--seed", type=int, default=None,
@@ -351,7 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--braid",
                            help="braid word 'strands:i,j,...' or 'i,j,...'")
 
-    common(sub.add_parser("dims", help="independent structures per degree"))
+    dims = sub.add_parser("dims", help="independent structures per degree")
+    common(dims)
+    # only dims has an unreduced reading; the others report reduced: True
+    dims.add_argument("--reduced", dest="reduced", action="store_true",
+                      default=True)
+    dims.add_argument("--unreduced", dest="reduced", action="store_false")
     common(sub.add_parser("basis", help="canonical basis elements"))
     w = sub.add_parser("weight", help="su(N) weight of a diagram")
     common(w)

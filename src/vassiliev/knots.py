@@ -105,11 +105,11 @@ class PlanarDiagram:
 
         Each link component is numbered on its own: arc x + 1 follows
         arc x, and the component's least label follows its largest.  The
-        two arcs of a one-crossing curl are told apart by its under
-        strand.  Any other two-arc component is read as `to_planar`
-        numbers it: its smaller label enters the last crossing (in list
-        order) that it passes over.  Where it passes over only once, that
-        is KnotTheory's reading of a two-arc component.
+        two arcs of a one-crossing curl, and of a two-arc component that
+        passes under at one of its two crossings, are told apart by that
+        under strand.  A two-arc component that passes over at both is
+        read as `to_planar` numbers it: its smaller label enters the
+        later crossing (in list order).
         """
         if self._signs is not None:
             return self._signs
@@ -146,11 +146,15 @@ class PlanarDiagram:
                     # a curl: the under strand's out-arc enters the over
                     pos = d == c
                 else:
-                    # a two-arc component through crossings k and j
+                    # a two-arc component through crossings k and j: if
+                    # it passes under at j, the arc leaving j enters k;
+                    # if over at both, its labels decide
                     j = next(i for i, cr in enumerate(self.crossings)
                              if i != k and b in cr)
-                    over_later = k < j and b in self.crossings[j][1::2]
-                    pos = d == (max(b, d) if over_later else min(b, d))
+                    if b in self.crossings[j][0::2]:
+                        pos = d == self.crossings[j][2]
+                    else:
+                        pos = d == (max(b, d) if k < j else min(b, d))
                 out.append(1 if pos else -1)
             elif pos and neg:
                 raise ValueError(
@@ -532,7 +536,8 @@ class _OrientedState:
         for comp in self._walk_components():
             if len(comp) == 2 and comp[0][0] != comp[1][0]:
                 # a two-arc component (not a curl): its smaller label
-                # enters the last crossing it passes over, as signs() reads
+                # enters the last crossing it passes over; signs() reads
+                # this labelling only where it passes over at both
                 comp = sorted(comp, key=lambda kp: (kp[1] != 0, kp[0]),
                               reverse=True)
             for (k, p) in comp:

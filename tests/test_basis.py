@@ -166,8 +166,9 @@ def _dense_coordinates(d, basis):
     """Coordinates by one dense solve over the target's and the basis
     residuals' joint support, per diagram."""
     i = d.degree
-    target = quotient_space(i, True).residual(d)
-    cols = [basis.residual(e) for e in basis.elements(i)]
+    space = quotient_space(i, True)
+    target = space.residual(d)
+    cols = [space.residual(e.diagram) for e in basis.elements(i)]
     support = sorted(set(target) | {c for col in cols for c in col})
     matrix = [[col.get(s, Fraction(0)) for col in cols] for s in support]
     return tuple(solve_dense(
@@ -190,6 +191,41 @@ def test_coordinates_degree6_match_dense_solve(basis6):
     assert max(seen) >= 9
 
 
+def test_coordinates_use_no_dense_elimination(monkeypatch):
+    # coordinates are one sparse reduction: a fresh basis (no cached
+    # eliminator) never reaches the dense Gauss-Jordan kernel
+    from vassiliev.basis import canonical_basis
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("coordinates called the dense rref")
+
+    basis = canonical_basis(4)
+    monkeypatch.setattr("vassiliev.linalg.rref", refuse)
+    for i in (2, 3, 4):
+        for e in basis.elements(i):
+            assert coordinates(e.diagram, basis).values == tuple(
+                Fraction(int(j == e.index)) for j in range(basis.d(i)))
+    assert coordinates(TRIPOD, basis).values == (Fraction(1),)
+
+
+def test_coordinates_degree7(basis7):
+    # unit vectors for the 14 elements, and seeded degree-7 diagrams
+    # with 0-11 vertices against a dense solve per diagram
+    assert basis7.d(7) == 14
+    for e in basis7.elements(7):
+        assert coordinates(e.diagram, basis7).values == tuple(
+            Fraction(int(j == e.index)) for j in range(14))
+    rng = random.Random(41)
+    seen = set()
+    while len(seen) < 12:
+        d = random_diagram(rng, 7)
+        if has_isolated_chord(d) or d.vertices > 11 or d.vertices in seen:
+            continue
+        assert coordinates(d, basis7).values == _dense_coordinates(d, basis7)
+        seen.add(d.vertices)
+    assert seen == set(range(12))
+
+
 def test_coordinates_dependent_basis_raises_runtime_error(basis5):
     # a degree whose elements are dependent has no inverse: the
     # coordinates fail as "not in the basis span", not with linalg's
@@ -197,9 +233,23 @@ def test_coordinates_dependent_basis_raises_runtime_error(basis5):
     elems = list(basis5.elements(4))
     elems[1] = elems[0]
     broken = CanonicalBasis(4, {**{i: basis5.elements(i) for i in range(4)},
-                                4: elems}, {}, "")
+                                4: elems}, "")
     with pytest.raises(RuntimeError, match="not in the basis span"):
         coordinates(basis5.element(4, 2).diagram, broken)
+
+
+def test_coordinates_off_span_raises_runtime_error(basis5, monkeypatch):
+    # a class holding a quotient column that the basis rows do not reach
+    # (a pivot column of the 4T elimination, which no true residual
+    # holds) is refused, not given coordinates
+    d = basis5.element(4, 0).diagram
+    coordinates(d, basis5)  # builds the degree's basis eliminator
+    space = quotient_space(4, True)
+    col = min(space.eliminator.pivots)
+    monkeypatch.setattr(type(space), "residual",
+                        lambda self, s: {col: Fraction(1)})
+    with pytest.raises(RuntimeError, match="not in the basis span"):
+        coordinates(d, basis5)
 
 
 def test_coordinates_weight_cross_oracle(basis5):
@@ -362,13 +412,12 @@ def test_load_basis_builds_no_quotient_space(tmp_path, basis5, monkeypatch):
     monkeypatch.setattr("vassiliev.basis.quotient_space", refuse)
     loaded = load_basis(path)
     assert loaded.by_degree == basis5.by_degree
-    assert loaded.residuals == {}
 
 
 def test_loaded_basis_coordinates_match_built(loaded5, basis5):
-    # the loaded basis fills a degree's residuals on its first
-    # `coordinates` call there; they and every coordinate match the
-    # basis that `canonical_basis` built
+    # the loaded basis reads a degree's quotient on its first
+    # `coordinates` call there; every coordinate matches the basis
+    # that `canonical_basis` built
     rng = random.Random(37)
     for i in (2, 3, 4, 5):
         done = 0
@@ -378,9 +427,6 @@ def test_loaded_basis_coordinates_match_built(loaded5, basis5):
                 continue
             assert coordinates(d, loaded5) == coordinates(d, basis5)
             done += 1
-        for e in loaded5.elements(i):
-            key = (i, e.index)
-            assert loaded5.residuals[key] == basis5.residuals[key]
 
 
 def test_basis_cache_rejects_other_code_version(tmp_path, basis4):

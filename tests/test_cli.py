@@ -169,9 +169,26 @@ def test_link_extract_and_verify_exit_2(capsys):
         assert err.startswith("error: the su(N) slice needs a knot"), err
 
 
-def test_pd_arc_joining_two_out_ports_exit_2(capsys):
+def test_pd_two_arc_component_read_from_under_strand(capsys):
+    # each component's under strand orients it: the negative Hopf link
     code, out, err = run_cli(capsys, "homfly", "--pd", "X(1,4,2,3) X(3,2,4,1)")
-    assert code == 2 and not out and "arc 2" in err
+    assert code == 0 and not err
+    code, braid, _ = run_cli(capsys, "homfly", "--braid", "2:-1,-1")
+    assert code == 0
+    line = next(ln for ln in out.splitlines() if ln.startswith("homfly:"))
+    assert line == "homfly: -a^-1*z - a^-1*z^-1 + a^-3*z^-1"
+    assert line in braid.splitlines()
+
+
+def test_reduced_flag_only_on_dims(capsys):
+    # only `dims` has an unreduced reading; elsewhere the flag is unknown
+    for argv in (["basis", "--unreduced"],
+                 ["extract", "--knot", "3_1", "--unreduced"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert not out and "unrecognized arguments: --unreduced" in err
 
 
 def test_negative_max_degree_exit_2(capsys):

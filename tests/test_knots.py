@@ -46,9 +46,12 @@ def test_pd_validation():
         PlanarDiagram([(2, 1, 4, 3), (1, 2, 3, 4)])
     with pytest.raises(ValueError):
         parse_pd("Y(1,2,3,4)")
-    with pytest.raises(ValueError, match="arc 2 leaves two crossings"):
-        # arc 2 is the under-out of crossing 1 and the over-out of crossing 2
-        parse_pd("X(1,4,2,3) X(3,2,4,1)")
+    # a two-arc component that passes under at one crossing is oriented
+    # by that under strand, whatever its labels say: 1 -> 2 and 3 -> 4
+    # make this the negative Hopf link
+    hopf = parse_pd("X(1,4,2,3) X(3,2,4,1)")
+    assert hopf.signs() == (-1, -1)
+    assert homfly(hopf) == homfly(braid_closure(BraidWord(2, [-1, -1])))
 
 
 def test_pd_roundtrip():
