@@ -412,13 +412,12 @@ class ExtractionResult:
 def _rref_with_rhs(matrix, rhs):
     """Returns (pivot columns, solved functionals); raises if inconsistent."""
     ncols = len(matrix[0]) if matrix else 0
-    rows, pivots, _ = rref([list(r) + [v] for r, v in zip(matrix, rhs)],
-                           ncols)
-    if any(row[ncols] for row in rows[len(pivots):]):
+    rows, pivots = rref([list(r) + [v] for r, v in zip(matrix, rhs)])
+    if ncols in pivots:
         raise RuntimeError("inconsistent extraction system: the basis "
                            "weights cannot reproduce the knot series")
     functionals = tuple(SolvedFunctional(tuple(row[:ncols]), row[ncols])
-                        for row in rows[:len(pivots)])
+                        for row in rows)
     return pivots, functionals
 
 

@@ -15,10 +15,10 @@ a port wiring plus a count of free loops.
 
 Invariants:
   * kauffman_bracket / jones -- state sum over the 2^n smoothings,
-    counted into a (B-smoothings, loops) histogram with one Laurent
-    term per class, writhe-corrected and normalized to 1 on the unknot;
-    at most BRACKET_CROSSING_BUDGET crossings and COMPONENT_BUDGET
-    components;
+    counted into a {loops: {n - 2b: states}} histogram with one power
+    of delta per loop count, writhe-corrected and normalized to 1 on
+    the unknot; at most BRACKET_CROSSING_BUDGET crossings and
+    COMPONENT_BUDGET components;
   * homfly -- skein recursion (a P+ - a^{-1} P- = z P0, unknot = 1)
     toward descending diagrams, memoized on a canonical diagram code;
     at most HOMFLY_CROSSING_BUDGET crossings and COMPONENT_BUDGET
@@ -29,7 +29,7 @@ Invariants:
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -255,7 +255,8 @@ def kauffman_bracket(pd: PlanarDiagram) -> Laurent1:
 
     A state's term A^(n - 2b) delta^(loops - 1) depends only on its number
     b of B-smoothings and its loop count, so the 2^n states are counted
-    into a {(b, loops): count} histogram and each class adds one term.
+    into a {loops: {n - 2b: count}} histogram, and each loop count adds
+    one Laurent polynomial times one power of delta.
     """
     n = len(pd.crossings)
     if n > BRACKET_CROSSING_BUDGET:
@@ -269,7 +270,7 @@ def kauffman_bracket(pd: PlanarDiagram) -> Laurent1:
     arc = [0] * (4 * n)
     for (k, p), (k2, p2) in oriented.wiring.items():
         arc[4 * k + p] = 4 * k2 + p2
-    classes: dict[tuple[int, int], int] = {}
+    classes: dict[int, Counter] = defaultdict(Counter)
     for state in range(1 << n):
         # along the arc, then across the smoothing at its far corner:
         # A joins corners p, p^1 and B (state bit set) joins p, 3-p = p^3
@@ -283,13 +284,11 @@ def kauffman_bracket(pd: PlanarDiagram) -> Laurent1:
                 while not seen[c]:
                     seen[c] = seen[arc[c]] = True
                     c = step[c]
-        key = (state.bit_count(), loops)
-        classes[key] = classes.get(key, 0) + 1
+        classes[loops][n - 2 * state.bit_count()] += 1
     delta = Laurent1({2: -1, -2: -1}, var="A")
     total = Laurent1.zero(var="A")
-    for (b, loops), count in classes.items():
-        total = total + Laurent1.term(count, n - 2 * b, var="A") * \
-            delta ** (loops - 1)
+    for loops, terms in classes.items():
+        total = total + Laurent1(terms, var="A") * delta ** (loops - 1)
     return total
 
 
@@ -702,8 +701,9 @@ def _splice_pseudo(edges):
     return wiring, loops
 
 
-def _orient_unoriented(under_diag: dict, wiring: dict, loops: int) -> PlanarDiagram:
-    """Trace an unoriented 4-valent wiring, fix crossing signs, emit PD."""
+def _orient_unoriented(wiring: dict, loops: int) -> PlanarDiagram:
+    """Trace an unoriented 4-valent wiring, fix crossing signs, emit PD;
+    ports 0/2 of every crossing are its under strand."""
     entry: dict[tuple[int, int], int] = {}  # (crossing, diagonal) -> entry port
     arcs = {frozenset((a, b)) for a, b in wiring.items()}
     visited = set()
@@ -723,26 +723,15 @@ def _orient_unoriented(under_diag: dict, wiring: dict, loops: int) -> PlanarDiag
             dst = wiring[cur]
             if frozenset((cur, dst)) in visited:
                 break
-    signs = {}
-    relabeled = {}
 
     def relabel(ep):
         k, p = ep
-        return (k, (p - entry[(k, under_diag[k] % 2)]) % 4)
+        return (k, (p - entry[(k, 0)]) % 4)
 
-    for k, ud in under_diag.items():
-        under_in = entry[(k, ud % 2)]
-        over_in = entry[(k, (ud + 1) % 2)]
-        signs[k] = 1 if (over_in - under_in) % 4 == 3 else -1
-    for a, b in wiring.items():
-        relabeled[relabel(a)] = relabel(b)
+    signs = {k: 1 if (entry[(k, 1)] - entry[(k, 0)]) % 4 == 3 else -1
+             for k in sorted({k for k, _ in wiring})}
+    relabeled = {relabel(a): relabel(b) for a, b in wiring.items()}
     return _OrientedState(signs, relabeled, loops).to_planar()
-
-
-# handedness of the twist crossings (which diagonal passes under);
-# equal values keep the alternation of the standard rational form
-_EAST_HAND = 0
-_SOUTH_HAND = 0
 
 
 def rational_knot(code) -> PlanarDiagram:
@@ -774,13 +763,11 @@ def rational_knot(code) -> PlanarDiagram:
         edges.append((a, b))
         ends[pair[0]] = a
         ends[pair[1]] = b
-    under_diag: dict[int, int] = {}
     kid = [0]
 
     def twist_east():
         k = kid[0]
         kid[0] += 1
-        under_diag[k] = _EAST_HAND
         edges.append((ends["NE"], (k, 0)))
         edges.append((ends["SE"], (k, 1)))
         ends["NE"] = (k, 3)
@@ -789,7 +776,6 @@ def rational_knot(code) -> PlanarDiagram:
     def twist_south():
         k = kid[0]
         kid[0] += 1
-        under_diag[k] = _SOUTH_HAND
         edges.append((ends["SW"], (k, 0)))
         edges.append((ends["SE"], (k, 3)))
         ends["SW"] = (k, 1)
@@ -804,7 +790,7 @@ def rational_knot(code) -> PlanarDiagram:
     edges.append((ends["NW"], ends["NE"]))
     edges.append((ends["SW"], ends["SE"]))
     wiring, loops = _splice_pseudo(edges)
-    return _orient_unoriented(under_diag, wiring, loops)
+    return _orient_unoriented(wiring, loops)
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Exact rational linear algebra.
 
 Everything here works over exact rationals (or integer-scaled rows); no
-floating point.  There are two kernels: `SparseEliminator`, an
-incremental sparse integer RREF of the 4T relation rows in which every
-pivot row holds exactly one pivot column, its least, and `rref`, dense
-Fraction Gauss-Jordan for the small systems (order <= ~10) behind
+floating point.  There is one kernel, `SparseEliminator`: an incremental
+sparse integer RREF in which every pivot row holds exactly one pivot
+column, its least.  It reduces the 4T relation rows and, through `rref`
+and `determinant`, the small dense systems (order <= ~10) behind
 solving, rank, determinants and inverses.  Inserting a row and reducing
 a vector are each one pass of one integer row operation, `_cancel`, on
 rows scaled to integers once (`_integer_row`).
@@ -108,41 +108,18 @@ class SparseEliminator:
         return {c: Fraction(v, denom) for c, v in row.items()}
 
 
-def rref(matrix: list[list], ncols: int | None = None
-         ) -> tuple[list[list[Fraction]], list[int], Fraction]:
-    """Reduced row echelon form by exact Gauss-Jordan elimination.
-
-    Pivots are taken only in the first `ncols` columns (default: all),
-    each the first nonzero entry at or below the current row; later
-    columns (a right-hand side, an identity block) ride along.  Returns
-    `(rows, pivot_cols, det)`: the reduced rows, whose i-th row has its
-    unit pivot in column `pivot_cols[i]`, and the product of the pivots
-    times the sign of the row swaps -- the determinant of a square
-    leading block, and 0 when some column of it has no pivot.
-    """
-    rows = [[Fraction(v) for v in r] for r in matrix]
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    pivot_cols: list[int] = []
-    det = Fraction(1)
-    for c in range(ncols):
-        r = len(pivot_cols)
-        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if sel is None:
-            det = Fraction(0)
-            continue
-        if sel != r:
-            rows[r], rows[sel] = rows[sel], rows[r]
-            det = -det
-        pivot = rows[r][c]
-        det *= pivot
-        prow = rows[r] = [v / pivot for v in rows[r]]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                rows[i] = [a - f * b for a, b in zip(row, prow)]
-        pivot_cols.append(c)
-    return rows, pivot_cols, det
+def rref(matrix: list[list]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of a dense matrix: `(rows, pivot_cols)`,
+    the nonzero rows of `SparseEliminator`'s RREF in pivot-column order,
+    the i-th scaled to a unit pivot in column `pivot_cols[i]`."""
+    ncols = len(matrix[0]) if matrix else 0
+    elim = SparseEliminator()
+    for row in matrix:
+        elim.add_row(dict(enumerate(row)))
+    pivots = elim.pivots
+    cols = sorted(pivots)
+    return [[Fraction(pivots[c].get(j, 0), pivots[c][c]) for j in range(ncols)]
+            for c in cols], cols
 
 
 def solve_dense(
@@ -154,13 +131,12 @@ def solve_dense(
     ValueError otherwise.
     """
     ncols = len(matrix[0]) if matrix else 0
-    rows, pivots, _ = rref([list(r) + [v] for r, v in zip(matrix, rhs)],
-                           ncols)
-    if any(row[ncols] for row in rows[len(pivots):]):
+    rows, pivots = rref([list(r) + [v] for r, v in zip(matrix, rhs)])
+    if ncols in pivots:
         return None  # inconsistent
     if len(pivots) < ncols:
         raise ValueError("system is underdetermined (rank-deficient)")
-    return [row[ncols] for row in rows[:ncols]]
+    return [row[ncols] for row in rows]
 
 
 def matrix_rank(matrix: list[list[Fraction]]) -> int:
@@ -168,14 +144,28 @@ def matrix_rank(matrix: list[list[Fraction]]) -> int:
 
 
 def determinant(matrix: list[list[Fraction]]) -> Fraction:
-    return rref(matrix)[2]
+    """Determinant by row reduction: each row's residual modulo the rows
+    above it keeps the determinant and is zero on every earlier lead, so
+    in lead order the residuals are triangular."""
+    elim = SparseEliminator()
+    det = Fraction(1)
+    leads: list[int] = []
+    for row in matrix:
+        res = elim.reduce(dict(enumerate(row)))
+        if not res:
+            return Fraction(0)
+        lead = min(res)
+        det *= res[lead]
+        leads.append(lead)
+        elim.add_row(res)
+    inversions = sum(a > b for i, a in enumerate(leads) for b in leads[i + 1:])
+    return -det if inversions % 2 else det
 
 
 def invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     n = len(matrix)
-    rows, pivots, _ = rref(
-        [list(r) + [int(i == j) for j in range(n)]
-         for i, r in enumerate(matrix)], n)
-    if len(pivots) < n:
+    rows, pivots = rref([list(r) + [int(i == j) for j in range(n)]
+                         for i, r in enumerate(matrix)])
+    if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [r[n:] for r in rows]

@@ -446,15 +446,14 @@ def test_basis_code_version_covers_module(tmp_path, monkeypatch, module):
     mod = importlib.import_module(f"vassiliev.{module}")
     before = _code_version()
     edited = tmp_path / f"{module}.py"
-    edited.write_bytes(open(mod.__file__, "rb").read() + b"# edited\n")
+    edited.write_bytes(pathlib.Path(mod.__file__).read_bytes() + b"# edited\n")
     monkeypatch.setattr(mod, "__file__", str(edited))
     assert _code_version() != before
 
 
 def test_basis_cache_rejects_corruption(tmp_path, basis4):
-    path = str(tmp_path / "basis.txt")
-    save_basis(basis4, path)
-    text = open(path).read().replace("degree 2: d=1", "degree 2: d=2")
-    open(path, "w").write(text)
+    path = tmp_path / "basis.txt"
+    save_basis(basis4, str(path))
+    path.write_text(path.read_text().replace("degree 2: d=1", "degree 2: d=2"))
     with pytest.raises(ValueError):
-        load_basis(path)
+        load_basis(str(path))

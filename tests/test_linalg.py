@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from vassiliev.diagrams import chord_diagrams, has_isolated_chord
+from vassiliev.factorization import SolvedFunctional, extract_alphas
+from vassiliev.knot_table import knot, knot_names
 from vassiliev.linalg import (
     SparseEliminator,
     determinant,
@@ -15,6 +17,7 @@ from vassiliev.linalg import (
     solve_dense,
 )
 from vassiliev.relations import four_t_relations, quotient_space
+from vassiliev.weights import weight_sun_deframed_at
 
 
 def rand_matrix(rng, rows, cols, density=0.8):
@@ -45,6 +48,31 @@ def minor_rank(a):
     return 0
 
 
+def _reference_rref(matrix, ncols=None):
+    """Dense Fraction Gauss-Jordan: an oracle independent of
+    SparseEliminator.  Pivots only in the first `ncols` columns, each the
+    first nonzero entry at or below the current row; returns (all rows,
+    pivot columns)."""
+    rows = [[Fraction(v) for v in r] for r in matrix]
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    pivot_cols: list[int] = []
+    for c in range(ncols):
+        r = len(pivot_cols)
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        pivot = rows[r][c]
+        prow = rows[r] = [v / pivot for v in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [a - f * b for a, b in zip(row, prow)]
+        pivot_cols.append(c)
+    return rows, pivot_cols
+
+
 def mat_vec(a, x):
     return [sum((v * w for v, w in zip(row, x)), Fraction(0)) for row in a]
 
@@ -61,6 +89,13 @@ def test_determinant_matches_leibniz():
             assert determinant(a) == leibniz(a), a
     # a row swap is the first pivot choice: det [[0, 1], [1, 0]] = -1
     assert determinant([[0, 1], [1, 0]]) == -1
+    # every order of leads: each 4x4 permutation matrix times a diagonal
+    for perm in itertools.permutations(range(4)):
+        diag = [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+                for _ in range(4)]
+        a = [[diag[i] if j == perm[i] else Fraction(0) for j in range(4)]
+             for i in range(4)]
+        assert determinant(a) == leibniz(a), a
 
 
 def test_invert_is_two_sided_inverse():
@@ -106,21 +141,13 @@ def test_rank_matches_minors_and_transpose():
         assert r == minor_rank(a) == matrix_rank(transpose(a)), a
 
 
-def test_rref_shape_and_det():
+def test_rref_matches_reference():
     rng = random.Random(5)
     for _ in range(40):
         rows, cols = rng.randint(1, 5), rng.randint(1, 6)
         a = rand_matrix(rng, rows, cols, 0.5)
-        ncols = rng.randint(0, cols)
-        red, pivots, det = rref(a, ncols)
-        assert pivots == sorted(pivots) and all(p < ncols for p in pivots)
-        for i, p in enumerate(pivots):
-            assert [row[p] for row in red] == [int(k == i)
-                                               for k in range(rows)]
-        for row in red[len(pivots):]:
-            assert not any(row[:ncols])
-        if rows == ncols:
-            assert det == leibniz([r[:ncols] for r in a])
+        ref, pivots = _reference_rref(a)
+        assert rref(a) == (ref[:len(pivots)], pivots), a
 
 
 def test_singular_and_inconsistent_systems():
@@ -159,14 +186,14 @@ def _reference_reduce(pivots, vec):
 
 def _eliminate_checked(rows, ncols):
     """A SparseEliminator fed `rows`, checked after every add_row against
-    the dense `rref` of the rows so far: each pivot row holds exactly one
+    the reference RREF of the rows so far: each pivot row holds exactly one
     pivot column, its least, and the pivot rows, each divided by its
     lead, are the nonzero rows of the dense RREF."""
     elim = SparseEliminator()
     dense: list[list[Fraction]] = []
     for row in rows:
         dense.append([row.get(c, 0) for c in range(ncols)])
-        dense, cols, _ = rref(dense)
+        dense, cols = _reference_rref(dense)
         dense = dense[:len(cols)]  # same row space, fewer rows to reduce
         rank = elim.rank
         assert elim.add_row(row) == (len(cols) > rank)
@@ -225,3 +252,26 @@ def test_sparse_eliminator_quotient_residuals_match_reference():
                 if not has_isolated_chord(d)]
         assert _checked_residuals(elim, vecs) == \
             [space.eliminator.reduce(v) for v in vecs]
+
+
+def test_extraction_functionals_match_reference_rref(basis6):
+    # no CLI golden reaches degrees 5-6, where the su(N) design is
+    # rank-deficient: the ranks and solved functionals of every table
+    # knot and mirror against the reference RREF of [W | s]
+    probes = (2, 3, 4, 5)
+    for name in knot_names():
+        for pd in (knot(name), knot(name).mirror()):
+            ex = extract_alphas(pd, basis6, 6, probes)
+            for i in (5, 6):
+                deg, elems = ex.degree(i), basis6.elements(i)
+                ncols = len(elems)
+                rows, cols = _reference_rref(
+                    [[weight_sun_deframed_at(e.diagram, n) for e in elems]
+                     + [ex.series_at(n)[i]] for n in probes], ncols)
+                assert not any(row[ncols] for row in rows[len(cols):])
+                assert deg.design_rank == len(cols)
+                assert deg.connected_rank == sum(
+                    1 for c in cols if elems[c].connected)
+                assert deg.solved_functionals == tuple(
+                    SolvedFunctional(tuple(row[:ncols]), row[ncols])
+                    for row in rows[:len(cols)])
