@@ -409,16 +409,54 @@ class ExtractionResult:
         return dict(self.series)[n]
 
 
-def _rref_with_rhs(matrix, rhs):
-    """Returns (pivot columns, solved functionals); raises if inconsistent."""
-    ncols = len(matrix[0]) if matrix else 0
-    rows, pivots = rref([list(r) + [v] for r, v in zip(matrix, rhs)])
-    if ncols in pivots:
-        raise RuntimeError("inconsistent extraction system: the basis "
-                           "weights cannot reproduce the knot series")
-    functionals = tuple(SolvedFunctional(tuple(row[:ncols]), row[ncols])
-                        for row in rows)
-    return pivots, functionals
+@dataclass(frozen=True)
+class _Design:
+    """The knot-independent part of one degree's extraction."""
+
+    weights: tuple  # probe x element weight rows, connected elements first
+    rows: tuple  # rref([W | I]), one identity column per probe
+    pivots: tuple
+    connected_full: bool  # connected columns have full rank on training probes
+
+
+@functools.cache
+def _design(basis: CanonicalBasis, degree: int, probes: tuple[int, ...],
+            normalization: Fraction) -> _Design:
+    """Weights and reduced design of a degree, once per (basis, degree,
+    probes, normalization); no knot enters.
+
+    Reducing [W | I] gives [E W | E] with E W in RREF, so a knot's
+    right-hand side s needs only E s.  Where the zero rows of E W have
+    E s = 0, the other rows of [E W | E s] are in RREF with no pivot in
+    the s column, so by uniqueness they are rref([W | s]); elsewhere s
+    is off the column space of W.
+    """
+    cfg = WeightConfig(normalization)
+    weights = tuple(tuple(weight_sun_deframed_at(e.diagram, n, cfg)
+                          for e in basis.elements(degree)) for n in probes)
+    k = len(probes)
+    rows, pivots = rref([list(w) + [int(j == p) for j in range(k)]
+                         for p, w in enumerate(weights)])
+    dhat = basis.d_hat(degree)
+    # solving uses the training probes only, so full rank must hold there
+    connected_full = matrix_rank([w[:dhat] for w in weights[:-1]]) == dhat
+    return _Design(weights, tuple(map(tuple, rows)), tuple(pivots),
+                   connected_full)
+
+
+def _solved_functionals(design: _Design, rhs) -> tuple:
+    """The functionals of rref([W | s]) read from E s; raises if
+    inconsistent."""
+    ncols = len(design.weights[0])
+    functionals = []
+    for row, col in zip(design.rows, design.pivots):
+        value = sum((e * v for e, v in zip(row[ncols:], rhs)), Fraction(0))
+        if col < ncols:
+            functionals.append(SolvedFunctional(row[:ncols], value))
+        elif value:
+            raise RuntimeError("inconsistent extraction system: the basis "
+                               "weights cannot reproduce the knot series")
+    return tuple(functionals)
 
 
 def _held_out_solve(weights, targets, pinned, dhat: int):
@@ -451,6 +489,10 @@ def extract_alphas(pd: PlanarDiagram, basis: CanonicalBasis, max_degree: int,
     verified against it exactly.  Degrees where the connected design is
     rank-deficient report the measured rank and the determined
     functionals instead of a factor vector.
+
+    The weight rows depend on the basis, degree, probes and
+    normalization only: `_design` builds and reduces them once per
+    process, and each knot reduces just its series coefficients.
     """
     probes = tuple(sorted(set(int(p) for p in probes)))
     if len(probes) < 2 or probes[0] < 2 or probes[-1] > 9:
@@ -476,29 +518,24 @@ def extract_alphas(pd: PlanarDiagram, basis: CanonicalBasis, max_degree: int,
         elems = basis.elements(i)
         conn = [e for e in elems if e.connected]
         comps = [e for e in elems if e.composite]
-        # one row per probe, connected elements first (the basis order)
-        design_all = [[weight_sun_deframed_at(e.diagram, n, cfg)
-                       for e in elems] for n in probes]
+        design = _design(basis, i, probes, cfg.normalization)
         rhs_all = [series[n][i] for n in probes]
-        pivots, functionals = _rref_with_rhs(design_all, rhs_all)
-        design_rank = len(pivots)
+        functionals = _solved_functionals(design, rhs_all)
+        design_rank = len(functionals)
         # pivots come in column order and connected columns come first,
         # so the pivots among them count the connected block's rank
-        connected_rank = sum(1 for c in pivots if c < len(conn))
-        conn_cols = [row[:len(conn)] for row in design_all]
-        # solving uses the training probes only, so full rank must hold there
-        connected_full = matrix_rank(conn_cols[:-1]) == len(conn)
+        connected_rank = sum(1 for c in design.pivots if c < len(conn))
 
         connected_alphas = composite_alphas = None
         held_ok = None
-        if connected_full and chain_intact:
+        if design.connected_full and chain_intact:
             pinned = []
             for e in comps:
                 val = Fraction(1)
                 for label, p in Counter(e.components).items():
                     val *= connected_values[label] ** p / factorial(p)
                 pinned.append(val)
-            sol, held_ok = _held_out_solve(design_all, rhs_all, pinned,
+            sol, held_ok = _held_out_solve(design.weights, rhs_all, pinned,
                                            len(conn))
             if sol is None:
                 raise RuntimeError(
@@ -510,7 +547,7 @@ def extract_alphas(pd: PlanarDiagram, basis: CanonicalBasis, max_degree: int,
         else:
             chain_intact = False
         degrees.append(DegreeExtraction(
-            i, design_rank, connected_rank, connected_full,
+            i, design_rank, connected_rank, design.connected_full,
             connected_alphas, composite_alphas, held_ok, functionals))
     return ExtractionResult(
         knot_name, max_degree, probes, held_out, basis.version, cfg,
@@ -583,16 +620,17 @@ def verify_factorization(pd: PlanarDiagram, basis: CanonicalBasis,
                 comp_ok = False
 
     recon_ok = True
-    for n in extraction.probes:
+    probes = extraction.probes
+    for p, n in enumerate(probes):
         target = extraction.series_at(n)
         exponent = [Fraction(0)] * (k_rec + 1)
         for d in extraction.degrees:
             if d.degree > k_rec or d.connected_alphas is None:
                 break
-            conn = [e for e in basis.elements(d.degree) if e.connected]
-            for e, v in zip(conn, d.connected_alphas):
-                exponent[d.degree] += v * weight_sun_deframed_at(
-                    e.diagram, n, cfg)
+            # connected elements come first in each weight row
+            design = _design(basis, d.degree, probes, cfg.normalization)
+            for v, w in zip(d.connected_alphas, design.weights[p]):
+                exponent[d.degree] += v * w
         recon = seq_exp(exponent, k_rec)
         if any(recon[i] != target[i] for i in range(k_rec + 1)):
             recon_ok = False
@@ -633,23 +671,20 @@ def reextract_under_change(extraction: ExtractionResult,
     old = extraction.degree(degree)
     if old.alphas is None:
         raise ValueError("original extraction did not solve this degree")
-    elems = basis.elements(degree)
     dhat = basis.d_hat(degree)
     probes = extraction.probes
-    weights_old = {
-        n: [weight_sun_deframed_at(e.diagram, n, cfg) for e in elems]
-        for n in probes}
+    weights_old = _design(basis, degree, probes, cfg.normalization).weights
     m = matrix.entries
-    size = len(elems)
-    new_weights = {
-        n: [sum((m[k][j] * weights_old[n][k] for k in range(size)),
-                Fraction(0)) for j in range(size)]
-        for n in probes}
+    size = basis.d(degree)
+    new_weights = [
+        [sum((m[k][j] * row[k] for k in range(size)), Fraction(0))
+         for j in range(size)]
+        for row in weights_old]
     # pin the new composite factors contravariantly and solve connected
     alpha_new_expected = transform_alphas(change, list(old.alphas))
     pinned = alpha_new_expected[dhat:]
     sol, held_ok = _held_out_solve(
-        [new_weights[n] for n in probes],
+        new_weights,
         [extraction.series_at(n)[degree] for n in probes], pinned, dhat)
     if sol is None:
         raise RuntimeError("re-extraction became inconsistent")

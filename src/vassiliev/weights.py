@@ -159,9 +159,20 @@ def _deframed(d: Diagram, normalization: Fraction) -> Laurent1:
 
 def weight_sun_deframed_at(d: Diagram, n: int,
                            cfg: WeightConfig = DEFAULT_CONFIG) -> Fraction:
+    """Deframed weight evaluated at a concrete rank N = n >= 2.
+
+    Memoized per diagram, rank and normalization (`_deframed_at`; the
+    algebra does not enter), so the probe ranks of every extraction
+    evaluate each basis element's Laurent polynomial once per process.
+    """
     if n < 2:
         raise ValueError("rank must be at least 2")
-    return weight_sun_deframed(d, cfg)(Fraction(n))
+    return _deframed_at(d, n, cfg.normalization)
+
+
+@functools.cache
+def _deframed_at(d: Diagram, n: int, normalization: Fraction) -> Fraction:
+    return _deframed(d, normalization)(Fraction(n))
 
 
 def weight_product_group(d: Diagram, marks: tuple[str, str] = ("G", "G'"),

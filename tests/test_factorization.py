@@ -3,8 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from test_linalg import _reference_rref
+from vassiliev import clear_caches, factorization
 from vassiliev.basis import (
     BasisChangeMatrix,
+    load_basis,
+    save_basis,
     transform_alphas,
     validate_basis_change,
 )
@@ -22,6 +26,7 @@ from vassiliev.factorization import (
 from vassiliev.knot_table import knot
 from vassiliev.laurent import Laurent1
 from vassiliev.series import RationalSeries, substitute_exponential
+from vassiliev.weights import WeightConfig, weight_sun_deframed_at
 
 
 def test_log_invariant_unknot():
@@ -189,6 +194,57 @@ def test_verify_factorization_derives_identities_once(basis4):
     info = _composite_identities.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert reps[0] == reps[1]
+
+
+def test_extraction_design_keyed_by_probes_and_normalization(basis4):
+    # the knot-independent design is cached per (basis, degree, probes,
+    # normalization): warm runs that follow other probe sets and
+    # normalizations equal fresh ones
+    runs = [((2, 3, 4, 5), WeightConfig()), ((2, 3), WeightConfig()),
+            ((3, 5, 7), WeightConfig()),
+            ((2, 3, 4, 5), WeightConfig(Fraction(1, 3)))]
+    pd = knot("5_2")
+    warm = [verify_factorization(pd, basis4, 4, probes, cfg)
+            for probes, cfg in runs]
+    for (probes, cfg), report in zip(runs, warm):
+        clear_caches()
+        assert verify_factorization(pd, basis4, 4, probes, cfg) == report
+        assert report.passed
+
+
+def test_loaded_basis_extracts_as_built(tmp_path, basis4):
+    path = str(tmp_path / "basis-deg4.txt")
+    save_basis(basis4, path)
+    loaded = load_basis(path)
+    for name in ("3_1", "4_1", "5_2", "8_19"):
+        assert extract_alphas(knot(name), loaded, 4) == \
+            extract_alphas(knot(name), basis4, 4)
+
+
+def test_inconsistent_series_raises(basis4, monkeypatch):
+    # degrees 2 and 3 have one element each, so four probes leave three
+    # consistency rows: one perturbed series coefficient leaves the
+    # column space, as the reference RREF of [W | s] confirms
+    probes = (2, 3, 4, 5)
+    pd = knot("3_1")
+    for i in (2, 3):
+        w = [weight_sun_deframed_at(basis4.element(i, 0).diagram, n)
+             for n in probes]
+        for k in range(len(probes)):
+            series = [knot_series(pd, n, i) for n in probes]
+            s = [x[i] for x in series]
+            assert 1 not in _reference_rref([[a, b] for a, b in zip(w, s)])[1]
+            s[k] += 1
+            assert 1 in _reference_rref([[a, b] for a, b in zip(w, s)])[1]
+            perturbed = iter(RationalSeries(x.coeffs[:i] + (v,))
+                             for x, v in zip(series, s))
+            monkeypatch.setattr(factorization, "substitute_exponential",
+                                lambda *args, **kwargs: next(perturbed))
+            with pytest.raises(RuntimeError,
+                               match="inconsistent extraction system"):
+                extract_alphas(pd, basis4, i, probes)
+            monkeypatch.undo()
+        assert extract_alphas(pd, basis4, i, probes).degree(i).alphas
 
 
 def test_rank_report_degrees_5_6(basis6):

@@ -374,6 +374,24 @@ def test_one_cache_entry_per_value():
         is quotient_space(5, reduced=True)
     d = random_diagram(random.Random(49), 4)
     assert weight_sun_deframed(d) is weight_sun_deframed(d, DEFAULT_CONFIG)
+    # the evaluated deframed weight is keyed by normalization, not algebra
+    value = weight_sun_deframed_at(d, 3)
+    size = weights._deframed_at.cache_info().currsize
+    assert value is weight_sun_deframed_at(d, 3, WeightConfig(algebra="gl"))
+    assert weights._deframed_at.cache_info().currsize == size
+    assert value == weight_sun_deframed(d)(Fraction(3))
+    third = WeightConfig(Fraction(1, 3))
+    assert weight_sun_deframed_at(d, 3, third) == \
+        weight_sun_deframed(d, third)(Fraction(3))
+
+
+def test_deframed_at_rejects_low_rank_after_caching():
+    # the rank check runs before the memo is read
+    d = random_diagram(random.Random(52), 3)
+    weight_sun_deframed_at(d, 3)
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError):
+            weight_sun_deframed_at(d, n)
 
 
 def test_clear_caches_empties_every_cache():
@@ -393,6 +411,7 @@ def test_clear_caches_empties_every_cache():
     quotient_space(3, False).residual(chord_diagrams(3)[0])
     weight_sun_deframed(random_diagram(random.Random(50), 3))
     knots.homfly(knot("3_1"))
+    vassiliev.verify_factorization(knot("3_1"), shared_basis(3), 3)
     assert [name for name, c in caches if not c.cache_info().currsize] == []
     assert diagrams._CANON_CACHE and knots._HOMFLY_MEMO
     clear_caches()
