@@ -6,12 +6,13 @@ under-strand arc; arcs are numbered sequentially along the oriented
 knot, so the under-strand runs a -> c and the crossing is positive when
 the over-strand runs d -> b (i.e. b follows d).  Each component of a
 link is numbered on its own (see PlanarDiagram.signs), and the text form
-writes each free loop as `O`.
+writes each free loop as `O`.  A code must draw a planar diagram: each
+connected shadow with m crossings bounds m + 2 faces.
 
-Braid closures, rational tangles and the skein's oriented smoothing
-rewire ports the same way: they join real ports and pseudo nodes into
-an edge list, and one pseudo-node splice (_splice_pseudo) turns it into
-a port wiring plus a count of free loops.
+Braid closures, rational tangles, the skein's oriented smoothing and its
+curl and bigon removal rewire ports the same way: they join real ports
+and pseudo nodes into an edge list, and one pseudo-node splice
+(_splice_pseudo) turns it into a port wiring plus a count of free loops.
 
 Invariants:
   * kauffman_bracket / jones -- state sum over the 2^n smoothings,
@@ -20,9 +21,11 @@ Invariants:
     the unknot; at most BRACKET_CROSSING_BUDGET crossings and
     COMPONENT_BUDGET components;
   * homfly -- skein recursion (a P+ - a^{-1} P- = z P0, unknot = 1)
-    toward descending diagrams, memoized on a canonical diagram code;
-    at most HOMFLY_CROSSING_BUDGET crossings and COMPONENT_BUDGET
-    components;
+    toward descending diagrams.  Each state first loses its curls
+    (Reidemeister I) and bigons (Reidemeister II); a descending state
+    is then evaluated at once, and any other is memoized on a canonical
+    diagram code.  At most HOMFLY_CROSSING_BUDGET crossings and
+    COMPONENT_BUDGET components;
   * sun_slice -- the su(N) one-variable specialization a = q^N,
     z = q - q^{-1}; at N = 2 it recovers jones with t = q^2.
 """
@@ -95,6 +98,48 @@ class PlanarDiagram:
         if len(ins) != 2 * n:
             arc = min(set(counts) - ins)
             raise ValueError(f"arc {arc} leaves two crossings and enters none")
+        self._check_planar()
+
+    def _check_planar(self) -> None:
+        """Euler's formula: a connected shadow with m crossings (2m arcs)
+        bounds m + 2 faces exactly when it is drawn on the sphere, and
+        fewer on any other surface."""
+        n = len(self.crossings)
+        # corner 4k + p is port p of crossing k; other[c] is the far end
+        # of the arc at corner c
+        other = [0] * (4 * n)
+        first: dict[int, int] = {}
+        for c, arc in enumerate(a for cr in self.crossings for a in cr):
+            if arc in first:
+                other[c], other[first[arc]] = first[arc], c
+            else:
+                first[arc] = c
+        # a face: along the arc, then to the previous port of its far end
+        step = [(o & ~3) | ((o - 1) & 3) for o in other]
+        seen = [False] * (4 * n)
+        faces = 0
+        for start in range(4 * n):
+            if not seen[start]:
+                faces += 1
+                c = start
+                while not seen[c]:
+                    seen[c] = True
+                    c = step[c]
+        shadows, reached = 0, set()
+        for k in range(n):
+            if k not in reached:
+                shadows += 1
+                stack = [k]
+                while stack:
+                    x = stack.pop()
+                    if x not in reached:
+                        reached.add(x)
+                        stack += [o >> 2 for o in other[4 * x:4 * x + 4]]
+        if faces != n + 2 * shadows:
+            raise ValueError(
+                f"{n} crossings in {shadows} connected shadow(s) bound "
+                f"{faces} faces, not {n + 2 * shadows}: the PD code is "
+                "not planar")
 
     @property
     def n_crossings(self) -> int:
@@ -410,27 +455,62 @@ class _OrientedState:
         return _OrientedState(signs, wiring, self.loops)
 
     def smoothed(self, k: int) -> "_OrientedState":
-        """Oriented smoothing of crossing k (the P0 term).
-
-        The ports of k become pseudo nodes, joined pairwise across the
-        smoothing and each to the far end of its arc (a pseudo node again
-        for a curl); the pseudo-node splice rewires the diagram and counts
-        the circuits closed inside k as free loops.
-        """
+        """Oriented smoothing of crossing k (the P0 term)."""
         pairs = ((0, 1), (2, 3)) if self.signs[k] > 0 else ((0, 3), (1, 2))
-        edges = [(("p", a), ("p", b)) for a, b in pairs]
-        for p in range(4):
-            far = self.wiring[(k, p)]
-            if far[0] != k:
-                edges.append((("p", p), far))
-            elif p < far[1]:
-                edges.append((("p", p), ("p", far[1])))
-        signs = {c: s for c, s in self.signs.items() if c != k}
+        return self._rewired({k: pairs})
+
+    def reduced(self) -> "_OrientedState":
+        """The same link with every curl (Reidemeister I) and every bigon
+        (Reidemeister II) removed, until none is left; each strand runs
+        straight through the removed crossings."""
+        state = self
+        while (ks := state._reducible()) is not None:
+            state = state._rewired({k: ((0, 2), (1, 3)) for k in ks})
+        return state
+
+    def _reducible(self):
+        """(k,) for a curl at crossing k (an arc from k to its own port),
+        (k, j) for a bigon: crossings of opposite sign joined by an arc
+        from over port to over port and one from under port to under
+        port; None if there is neither.
+
+        In a planar diagram the two arcs of such a bigon bound a face, so
+        removing it is an isotopy.
+        """
+        wiring, signs = self.wiring, self.signs
+        for k, s in signs.items():
+            far = [wiring[(k, p)] for p in range(4)]
+            if any(j == k for j, _ in far):
+                return (k,)
+            under = far[0::2]  # the far ends of k's under ports
+            for j, q in far[1::2]:  # and of its over ports
+                if q % 2 and signs[j] != s and (
+                        (j, 0) in under or (j, 2) in under):
+                    return (k, j)
+        return None
+
+    def _rewired(self, joins: dict) -> "_OrientedState":
+        """Delete the crossings k of `joins` and join their ports in the
+        pairs joins[k].
+
+        The deleted ports become pseudo nodes, joined pairwise and each to
+        the far end of its arc (a pseudo node again for an arc between
+        deleted crossings); the pseudo-node splice rewires the diagram and
+        counts the circuits closed among the deleted ports as free loops.
+        """
+        edges = [(("p", k, a), ("p", k, b))
+                 for k, pairs in joins.items() for a, b in pairs]
         wiring = dict(self.wiring)
-        for p in range(4):
-            del wiring[(k, p)]
+        for k in joins:
+            for p in range(4):
+                far = wiring.pop((k, p))
+                if far[0] not in joins:
+                    edges.append((("p", k, p), far))
+                elif (k, p) < far:
+                    edges.append((("p", k, p), ("p",) + far))
+        signs = {c: s for c, s in self.signs.items() if c not in joins}
         spliced, loops = _splice_pseudo(edges)
-        wiring.update(spliced)  # rewires every far end of an arc at k
+        wiring.update(spliced)  # rewires every far end of a deleted port
         return _OrientedState(signs, wiring, self.loops + loops)
 
     def canonical_code(self) -> tuple:
@@ -572,22 +652,22 @@ _HOMFLY_MEMO: dict[tuple, Laurent2] = {}
 
 
 def _homfly_state(state: _OrientedState) -> Laurent2:
+    # curls and bigons first, then a descending state needs no memo key
+    state = state.reduced()
+    bad, comps = state.first_bad_crossing()
+    if bad is None:
+        return _DELTA ** (comps - 1) if comps > 1 else Laurent2.one()
     code = state.canonical_code()
     cached = _HOMFLY_MEMO.get(code)
     if cached is not None:
         return cached
-    bad, comps = state.first_bad_crossing()
-    if bad is None:
-        val = _DELTA ** (comps - 1) if comps > 1 else Laurent2.one()
+    switched = _homfly_state(state.switched(bad))
+    smoothed = _homfly_state(state.smoothed(bad))
+    if state.signs[bad] > 0:
+        # a^-1 P+ - a P- = z P0  =>  P+ = a^2 P- + a z P0
+        val = _A2 * switched + _AZ * smoothed
     else:
-        sign = state.signs[bad]
-        switched = _homfly_state(state.switched(bad))
-        smoothed = _homfly_state(state.smoothed(bad))
-        if sign > 0:
-            # a^-1 P+ - a P- = z P0  =>  P+ = a^2 P- + a z P0
-            val = _A2 * switched + _AZ * smoothed
-        else:
-            val = _AINV2 * switched - _AINVZ * smoothed
+        val = _AINV2 * switched - _AINVZ * smoothed
     _HOMFLY_MEMO[code] = val
     return val
 
@@ -668,7 +748,7 @@ def determinant(pd: PlanarDiagram) -> int:
 
 
 def _splice_pseudo(edges):
-    """Resolve the pseudo nodes ("p", i), each of degree two, out of an
+    """Resolve the pseudo nodes ("p", ...), each of degree two, out of an
     edge list: a chain of them between two real ports becomes one wire,
     and a cycle of them alone is one free loop.  Returns (wiring, loops).
     """

@@ -180,6 +180,14 @@ def test_pd_two_arc_component_read_from_under_strand(capsys):
     assert line in braid.splitlines()
 
 
+def test_non_planar_pd_exit_2(capsys):
+    # consistent labels and signs, but no planar drawing: its skein
+    # value would have negative powers of z for a knot
+    code, out, err = run_cli(capsys, "homfly", "--pd", "X(1,3,2,4) X(4,1,3,2)")
+    assert code == 2 and not out
+    assert err.startswith("error: ") and err.strip().endswith("not planar")
+
+
 def test_reduced_flag_only_on_dims(capsys):
     # only `dims` has an unreduced reading; elsewhere the flag is unknown
     for argv in (["basis", "--unreduced"],

@@ -651,29 +651,171 @@ def _skein_code_cases():
             yield (strands, word), pd
 
 
-def test_canonical_code_matches_exhaustive_search(monkeypatch):
+def test_canonical_code_matches_exhaustive_search():
     # the skein memo key must be the least code over every start, on
-    # every state the recursion visits: knots, split links, 3 components
-    from vassiliev import knots
-
-    fast = _OrientedState.canonical_code
+    # every state of the unreduced skein tree: knots, split links, 3
+    # components.  The tree is walked here (switch and smooth at the first
+    # bad crossing until descending), as homfly's curl and bigon removal
+    # leaves few states for the key; a state whose code was met before is
+    # not expanded again, as a memo hit would not be
     seen = {"states": 0, "split": 0, "three": 0}
-
-    def checked(state):
-        code = fast(state)
-        assert code == _reference_canonical_code(state), label
-        seen["states"] += 1
-        seen["split"] += ("s",) in code
-        seen["three"] += state.component_count() == 3
-        return code
-
-    monkeypatch.setattr(_OrientedState, "canonical_code", checked)
     for label, pd in _skein_code_cases():
-        knots._HOMFLY_MEMO.clear()
-        homfly(pd)
-    knots._HOMFLY_MEMO.clear()
+        codes = set()
+        stack = [_OrientedState.from_planar(pd)]
+        while stack:
+            state = stack.pop()
+            code = state.canonical_code()
+            assert code == _reference_canonical_code(state), label
+            seen["states"] += 1
+            seen["split"] += ("s",) in code
+            seen["three"] += state.component_count() == 3
+            if code in codes:
+                continue
+            codes.add(code)
+            bad, _ = state.first_bad_crossing()
+            if bad is not None:
+                stack += [state.smoothed(bad), state.switched(bad)]
     assert seen["states"] > 5000
     assert seen["split"] > 100 and seen["three"] > 100, seen
+
+
+_DELTA = Laurent2({(-1, -1): 1, (1, -1): -1})  # (1/a - a)/z
+
+
+def _reference_homfly(pd: PlanarDiagram) -> Laurent2:
+    """The skein recursion without curl and bigon removal, with a memo of
+    its own: every state is keyed on its canonical code, then switched
+    and smoothed at its first bad crossing until it is descending."""
+    memo: dict = {}
+
+    def value(state):
+        code = state.canonical_code()
+        if code not in memo:
+            bad, comps = state.first_bad_crossing()
+            if bad is None:
+                memo[code] = _DELTA ** (comps - 1)
+            else:
+                switched = value(state.switched(bad))
+                smoothed = value(state.smoothed(bad))
+                s = state.signs[bad]
+                memo[code] = Laurent2.term(1, 2 * s, 0) * switched + \
+                    Laurent2.term(s, s, 1) * smoothed
+        return memo[code]
+
+    return value(_OrientedState.from_planar(pd))
+
+
+def _random_pd_codes(seed, sizes):
+    """Seeded random crossing lists with n in `sizes` crossings, each of
+    the arcs 1..2n used twice."""
+    rng = random.Random(seed)
+    while True:
+        n = rng.choice(sizes)
+        arcs = list(range(1, 2 * n + 1)) * 2
+        rng.shuffle(arcs)
+        yield [arcs[i:i + 4] for i in range(0, 4 * n, 4)]
+
+
+def _random_planar_pds(seed, count, sizes):
+    """The first `count` random codes that PlanarDiagram accepts
+    (sequential labels, consistent signs, planar)."""
+    pds = []
+    for crossings in _random_pd_codes(seed, sizes):
+        if len(pds) == count:
+            return pds
+        try:
+            pds.append(PlanarDiagram(crossings))
+        except ValueError:
+            pass
+
+
+def _reduction_oracle_cases():
+    for name in knot_names():
+        yield name, knot(name)
+        yield name + "!", knot(name).mirror()
+    yield from _skein_code_cases()
+    for crossings in ([(1, 1, 2, 2)], [(1, 2, 2, 1)]):
+        yield crossings, PlanarDiagram(crossings)
+    rng = random.Random(4242)
+    for _ in range(120):
+        # a braid word with a cancelling pair s s^-1 inserted, then
+        # Markov-stabilized on a new strand
+        strands = rng.randint(2, 4)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(0, 6))]
+        g = rng.choice((1, -1)) * rng.randint(1, strands - 1)
+        at = rng.randint(0, len(word))
+        word[at:at] = [g, -g]
+        if rng.random() < 0.5:
+            word.insert(rng.randint(0, len(word)),
+                        rng.choice((1, -1)) * strands)
+            strands += 1
+        yield (strands, word), braid_closure(BraidWord(strands, word))
+    for pd in _random_planar_pds(577, 150, (2, 3, 4, 5, 6)):
+        yield pd_to_text(pd), pd
+
+
+def _bounds_face(state: _OrientedState, k: int, j: int) -> bool:
+    """True if two arcs between crossings k and j bound a face: a cycle
+    of two steps of "along the arc, then to the previous port"."""
+    def step(corner):
+        far_k, far_p = state.wiring[corner]
+        return far_k, (far_p - 1) % 4
+
+    return any(step(step((k, p))) == (k, p) and step((k, p))[0] == j
+               for p in range(4))
+
+
+def test_homfly_reduction_matches_unreduced_recursion(monkeypatch):
+    # curl and bigon removal before the memo key is an isotopy, so every
+    # value equals the unreduced recursion's; both moves must fire often,
+    # and every removed bigon is a face of the diagram (Reidemeister II)
+    from vassiliev import knots
+
+    fired = {1: 0, 2: 0}  # curls, bigons
+    reducible = _OrientedState._reducible
+
+    def counted(state):
+        ks = reducible(state)
+        if ks is not None:
+            fired[len(ks)] += 1
+            assert len(ks) == 1 or _bounds_face(state, *ks), label
+        return ks
+
+    monkeypatch.setattr(_OrientedState, "_reducible", counted)
+    for label, pd in _reduction_oracle_cases():
+        knots._HOMFLY_MEMO.clear()
+        assert homfly(pd) == _reference_homfly(pd), label
+    knots._HOMFLY_MEMO.clear()
+    assert fired[1] > 500 and fired[2] > 500, fired
+    # s s^-1 closes to a two-component unlink, and s s^-1 inserted into a
+    # word is removed; an alternating twist (a clasp) is left alone
+    label = "reach"
+    unlink = _OrientedState.from_planar(braid_closure(BraidWord(2, [1, -1])))
+    assert (unlink.reduced().signs, unlink.reduced().loops) == ({}, 2)
+    for strands, word in [(2, [1, 1]), (2, [1, 1, 1]), (3, [1, -2, 1, -2]),
+                          (3, [1, 1, -2, -2, 1, 1])]:
+        state = _OrientedState.from_planar(
+            braid_closure(BraidWord(strands, word)))
+        assert len(state.reduced().signs) == len(word), word
+        padded = braid_closure(BraidWord(strands, word[:1] + [-1, 1, 1, -1]
+                                         + word[1:]))
+        reduced = _OrientedState.from_planar(padded).reduced()
+        assert len(reduced.signs) == len(word), word
+
+
+def test_pd_rejects_non_planar_codes():
+    # sequential labels and consistent signs, but the faces of the
+    # shadow do not close up on the sphere (a virtual diagram)
+    with pytest.raises(ValueError, match="not planar"):
+        parse_pd("X(1,3,2,4) X(4,1,3,2)")
+    rejected = 0
+    for crossings, _ in zip(_random_pd_codes(12, (2, 3, 4)), range(3000)):
+        try:
+            PlanarDiagram(crossings)
+        except ValueError as exc:
+            rejected += "not planar" in str(exc)
+    assert rejected > 50
 
 
 def _alexander_at(pd: PlanarDiagram, t: Fraction) -> Fraction:
