@@ -23,6 +23,7 @@ from vassiliev.knots import (
     rational_knot,
     sun_slice,
 )
+from vassiliev.cli import main as cli_main
 from vassiliev.knot_table import knot, knot_names, table
 from vassiliev.laurent import Laurent1, Laurent2
 from vassiliev.linalg import determinant as matrix_determinant
@@ -402,6 +403,10 @@ def _reference_bracket(pd: PlanarDiagram) -> Laurent1:
     n = len(pd.crossings)
     delta = Laurent1({2: -1, -2: -1}, var="A")
     total = Laurent1.zero(var="A")
+    ends: dict[int, list[int]] = {}
+    for k, c in enumerate(pd.crossings):
+        for p, arc in enumerate(c):
+            ends.setdefault(arc, []).append(4 * k + p)
     for state in range(1 << n):
         parent = list(range(4 * n))
 
@@ -413,10 +418,7 @@ def _reference_bracket(pd: PlanarDiagram) -> Laurent1:
         def union(x, y):
             parent[find(x)] = find(y)
 
-        ends: dict[int, list[int]] = {}
-        for k, c in enumerate(pd.crossings):
-            for p, arc in enumerate(c):
-                ends.setdefault(arc, []).append(4 * k + p)
+        for k in range(n):
             if (state >> k) & 1:  # B: join corners (0,3) and (1,2)
                 union(4 * k, 4 * k + 3)
                 union(4 * k + 1, 4 * k + 2)
@@ -447,6 +449,24 @@ def _bracket_reference_cases():
         yield crossings, PlanarDiagram(crossings)
     for k in (1, 2, 3):
         yield ("loops", k), PlanarDiagram([], k)
+    # split closures whose parts both cross (the contraction's frontier
+    # empties between them), and free strands between crossed ones
+    for strands, word in ((4, [1, 1, 1, 3, 3, 3]), (4, [1, -1, 3, -3, 3]),
+                          (6, [1, 2, 1, 2, 4, 5, -4, 5]), (5, [1, 3]),
+                          (5, [1, 4, 4, 4]), (7, [2, -2, 2, 5, 6, 5, 6])):
+        yield (strands, word), braid_closure(BraidWord(strands, word))
+    for total in range(1, 9):
+        for code in _rational_codes(total):
+            yield ("rational", code), rational_knot(code)
+    for a, b in (("3_1", "3_1!"), ("4_1", "5_2"), ("3_1", "7_4!"),
+                 ("5_1", "5_1"), ("6_3", "4_1")):
+        yield (a, "#", b), connected_sum(knot(a), knot(b))
+    rng = random.Random(1618)
+    for _ in range(10):
+        strands = rng.randint(5, 8)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(9, 11))]
+        yield (strands, word), braid_closure(BraidWord(strands, word))
 
 
 def test_bracket_matches_reference_state_sum():
@@ -454,10 +474,107 @@ def test_bracket_matches_reference_state_sum():
         assert kauffman_bracket(pd) == _reference_bracket(pd), label
 
 
+def _fuzzed_pd_texts(seed, count):
+    """Seeded PD texts of 1-7 crossings: codes of braid closures and
+    rational knots with their crossings shuffled and their labels
+    perturbed, and random arc patterns, some with a free loop."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.25:
+            n = rng.randint(1, 7)
+            arcs = list(range(1, 2 * n + 1)) * 2
+            rng.shuffle(arcs)
+            crossings = [arcs[i:i + 4] for i in range(0, 4 * n, 4)]
+        else:
+            if rng.random() < 0.5:
+                strands = rng.randint(2, 4)
+                pd = braid_closure(BraidWord(strands, [
+                    rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                    for _ in range(rng.randint(1, 7))]))
+            else:
+                code = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+                pd = rational_knot(code if sum(code) <= 7 else code[:2])
+            # a closure without crossings stands in as a one-crossing curl
+            crossings = [list(c) for c in pd.crossings] or [[1, 1, 2, 2]]
+            rng.shuffle(crossings)
+            n = len(crossings)
+            move = rng.randrange(5)  # 0: the shuffle alone
+            if move == 1:  # shift every label cyclically
+                shift = rng.randint(1, 2 * n - 1)
+                crossings = [[(x + shift - 1) % (2 * n) + 1 for x in c]
+                             for c in crossings]
+            elif move == 2:  # rotate one crossing's ports
+                c = rng.choice(crossings)
+                r = rng.randint(1, 3)
+                c[:] = c[r:] + c[:r]
+            elif move == 3:  # exchange the labels at two ports
+                i, j = rng.randrange(4 * n), rng.randrange(4 * n)
+                a, b = crossings[i // 4][i % 4], crossings[j // 4][j % 4]
+                crossings[i // 4][i % 4], crossings[j // 4][j % 4] = b, a
+            elif move == 4:  # one label out of place or out of range
+                c = rng.choice(crossings)
+                c[rng.randrange(4)] = rng.randint(0, 2 * n + 1)
+        text = " ".join(f"X({a},{b},{c},{d})" for a, b, c, d in crossings)
+        yield text + (" O" if rng.random() < 0.1 else "")
+
+
+def test_pd_fuzz_parses_rejects_and_agrees(capsys):
+    # parse_pd either accepts a text or raises ValueError; an accepted
+    # code has the reference bracket, and the CLI exits 0 or 2 (a link
+    # with an even number of components is refused) without a traceback
+    accepted = rejected = 0
+    for text in _fuzzed_pd_texts(3141, 400):
+        try:
+            pd = parse_pd(text)
+        except ValueError:
+            pd = None
+        code = cli_main(["jones", "--pd", text])
+        out, err = capsys.readouterr()
+        if pd is None:
+            rejected += 1
+            assert code == 2 and err.startswith("error: "), text
+            continue
+        accepted += 1
+        assert kauffman_bracket(pd) == _reference_bracket(pd), text
+        if code == 2:
+            assert "even number of components" in err, text
+        else:
+            assert code == 0 and f"jones: {jones(pd)}\n" in out, text
+    assert accepted >= 100 and rejected >= 100, (accepted, rejected)
+
+
 def test_bracket_budget():
     word = BraidWord(2, [1] * (BRACKET_CROSSING_BUDGET + 1))
     with pytest.raises(BudgetExceededError, match="budget"):
         jones(braid_closure(word))
+
+
+def _torus_jones(p: int, q: int) -> Laurent1:
+    """V(T(p,q)) = t^((p-1)(q-1)/2) (1 - t^(p+1) - t^(q+1) + t^(p+q))
+    / (1 - t^2), the division done exactly on coefficient lists."""
+    num = [0] * (p + q + 1)
+    for e, c in ((0, 1), (p + 1, -1), (q + 1, -1), (p + q, 1)):
+        num[e] += c
+    quo = []  # num = (1 - t^2) * quo: quo_i = num_i + quo_(i-2)
+    for i in range(p + q - 1):
+        quo.append(num[i] + (quo[i - 2] if i >= 2 else 0))
+    assert num[p + q - 1] + quo[p + q - 3] == 0
+    assert num[p + q] + quo[p + q - 2] == 0
+    shift = (p - 1) * (q - 1) // 2
+    return Laurent1({shift + i: c for i, c in enumerate(quo) if c},
+                    var="t")
+
+
+def test_jones_of_torus_knots_up_to_the_budget():
+    # the closure of (s_1 ... s_(p-1))^q, up to 16 crossings, where the
+    # state-sum reference is out of reach
+    cases = [(2, q) for q in range(3, 16, 2)] + [(3, q) for q in (4, 5, 7, 8)]
+    for p, q in cases:
+        pd = braid_closure(BraidWord(p, list(range(1, p)) * q))
+        assert pd.n_crossings == (p - 1) * q <= BRACKET_CROSSING_BUDGET
+        assert jones(pd) == _torus_jones(p, q), (p, q)
+    assert str(_torus_jones(3, 8)) == "-t^16 + t^9 + t^7"
+    assert _torus_jones(2, 3) == JONES_TABLE["3_1"].mirror()
 
 
 def test_component_budget_counts_free_loops():
