@@ -246,18 +246,24 @@ def _extraction_report(ex, basis) -> list[dict]:
     return rows
 
 
+def _extraction_head(args, command: str, ex) -> dict:
+    """The leading keys shared by the extract and verify reports."""
+    return {
+        "config": asdict(_config(args, command)),
+        "knot": _knot_label(args),
+        "basis_version": ex.basis_version,
+        "weight_normalization": str(ex.weight_config.normalization),
+        "slice_convention": ex.slice_convention,
+    }
+
+
 def cmd_extract(args) -> int:
-    cfg = _config(args, "extract")
     pd = _resolve_knot(args)
     basis = cached_basis(args.max_degree, args.cache_dir)
     ex = extract_alphas(pd, basis, args.max_degree, tuple(args.probes),
                         knot_name=_knot_label(args))
     report = {
-        "config": asdict(cfg),
-        "knot": _knot_label(args),
-        "basis_version": ex.basis_version,
-        "weight_normalization": str(ex.weight_config.normalization),
-        "slice_convention": ex.slice_convention,
+        **_extraction_head(args, "extract", ex),
         "held_out_probe": ex.held_out,
         "degrees": _extraction_report(ex, basis),
         "values": "exact-rational",
@@ -267,18 +273,13 @@ def cmd_extract(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args, "verify")
     pd = _resolve_knot(args)
     basis = cached_basis(args.max_degree, args.cache_dir)
     rep = verify_factorization(pd, basis, args.max_degree,
                                tuple(args.probes),
                                knot_name=_knot_label(args))
     report = {
-        "config": asdict(cfg),
-        "knot": _knot_label(args),
-        "basis_version": rep.extraction.basis_version,
-        "weight_normalization": str(rep.extraction.weight_config.normalization),
-        "slice_convention": rep.extraction.slice_convention,
+        **_extraction_head(args, "verify", rep.extraction),
         "reconstruction_order": rep.reconstruction_order,
         "checks": {
             "composite_factors": "pass" if rep.composite_check_passed
@@ -325,6 +326,14 @@ def _degree(text: str) -> int:
     return int(text)
 
 
+def _probes(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of ranks") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vassiliev",
@@ -339,9 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed echoed into reports (randomized property "
                        "tests take their seed here)")
         if probes:
-            p.add_argument("--probes", type=lambda s: [int(x) for x in
-                                                       s.split(",")],
-                           default=[2, 3, 4, 5])
+            p.add_argument("--probes", type=_probes, default=[2, 3, 4, 5])
         if knots:
             p.add_argument("--knot", help="table name, e.g. 3_1 (mirror: 3_1!)")
             p.add_argument("--pd", help="inline PD code X(a,b,c,d) ...")

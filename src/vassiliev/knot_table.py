@@ -54,8 +54,7 @@ def knot(name: str) -> PlanarDiagram:
     if name in ("unknot",):
         name = "0_1"
     mirrored = name.endswith("!")
-    base = name.rstrip("!")
-    rec = table().get(base)
+    rec = table().get(name[:-1] if mirrored else name)
     if rec is None:
         raise KeyError(f"unknown knot {name!r}; available: "
                        + ", ".join(knot_names()))

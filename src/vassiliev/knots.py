@@ -5,9 +5,10 @@ lists the four incident arcs counterclockwise starting at the incoming
 under-strand arc; arcs are numbered sequentially along the oriented
 knot, so the under-strand runs a -> c and the crossing is positive when
 the over-strand runs d -> b (i.e. b follows d).  Each component of a
-link is numbered on its own (see PlanarDiagram.signs), and the text form
-writes each free loop as `O`.  A code must draw a planar diagram: each
-connected shadow with m crossings bounds m + 2 faces.
+link is numbered on its own, and the text form writes each free loop as
+`O`.  The labels are the only source of the crossing signs and of the
+component count (PlanarDiagram._read_labels).  A code must draw a planar
+diagram: each connected shadow with m crossings bounds m + 2 faces.
 
 Braid closures, rational tangles, the skein's oriented smoothing and its
 curl and bigon removal rewire ports the same way: they join real ports
@@ -55,11 +56,10 @@ BRACKET_CROSSING_BUDGET = 16
 COMPONENT_BUDGET = 100
 
 
-def _check_component_budget(state: "_OrientedState") -> None:
-    comps = state.component_count()
-    if comps > COMPONENT_BUDGET:
+def _check_component_budget(pd: PlanarDiagram) -> None:
+    if pd.components > COMPONENT_BUDGET:
         raise BudgetExceededError(
-            f"{comps} components exceed the component budget of "
+            f"{pd.components} components exceed the component budget of "
             f"{COMPONENT_BUDGET}")
 
 
@@ -67,22 +67,34 @@ def _check_component_budget(state: "_OrientedState") -> None:
 # planar diagrams
 
 
+def _arc_ends(crossings) -> list[int]:
+    """Corner 4k + p is port p of crossing k; entry c is the corner at
+    the far end of the arc at corner c."""
+    ends = [0] * (4 * len(crossings))
+    first: dict[int, int] = {}
+    for c, arc in enumerate(a for cr in crossings for a in cr):
+        if arc in first:
+            ends[c], ends[first[arc]] = first[arc], c
+        else:
+            first[arc] = c
+    return ends
+
+
 class PlanarDiagram:
-    """A knot/link diagram as a list of PD crossings plus free loops."""
+    """A knot/link diagram as a list of PD crossings plus free loops.
 
-    __slots__ = ("crossings", "loops", "_signs")
+    The arc labels are the only source of orientation: the crossing
+    signs and the component count (free loops included) are read from
+    them once, on construction.
+    """
 
-    def __init__(self, crossings, loops: int = 0, signs=None):
+    __slots__ = ("crossings", "loops", "components", "_signs")
+
+    def __init__(self, crossings, loops: int = 0):
         self.crossings = tuple(tuple(int(x) for x in c) for c in crossings)
         self.loops = int(loops)
         if not self.crossings and self.loops == 0:
             self.loops = 1  # the empty PD denotes the unknot
-        if signs is not None:
-            signs = tuple(int(s) for s in signs)
-            if len(signs) != len(self.crossings) or \
-                    any(s not in (1, -1) for s in signs):
-                raise ValueError("signs must be +-1, one per crossing")
-        self._signs = signs
         self._validate()
 
     def _validate(self) -> None:
@@ -97,8 +109,9 @@ class PlanarDiagram:
             expected = set(range(1, 2 * n + 1))
             if set(counts) != expected or any(v != 2 for v in counts.values()):
                 raise ValueError("arcs must be 1..2n, each appearing twice")
+        self._read_labels()
         # each arc must be an in-port (0 and the over-in) exactly once
-        ins = {c[p] for c, s in zip(self.crossings, self.signs())
+        ins = {c[p] for c, s in zip(self.crossings, self._signs)
                for p in (0, _over_in(s))}
         if len(ins) != 2 * n:
             arc = min(set(counts) - ins)
@@ -110,15 +123,7 @@ class PlanarDiagram:
         bounds m + 2 faces exactly when it is drawn on the sphere, and
         fewer on any other surface."""
         n = len(self.crossings)
-        # corner 4k + p is port p of crossing k; other[c] is the far end
-        # of the arc at corner c
-        other = [0] * (4 * n)
-        first: dict[int, int] = {}
-        for c, arc in enumerate(a for cr in self.crossings for a in cr):
-            if arc in first:
-                other[c], other[first[arc]] = first[arc], c
-            else:
-                first[arc] = c
+        other = _arc_ends(self.crossings)
         # a face: along the arc, then to the previous port of its far end
         step = [(o & ~3) | ((o - 1) & 3) for o in other]
         seen = [False] * (4 * n)
@@ -150,8 +155,9 @@ class PlanarDiagram:
     def n_crossings(self) -> int:
         return len(self.crossings)
 
-    def signs(self) -> tuple[int, ...]:
-        """Crossing signs derived from the sequential arc numbering.
+    def _read_labels(self) -> None:
+        """Set the crossing signs and the component count from the
+        sequential arc numbering.
 
         Each link component is numbered on its own: arc x + 1 follows
         arc x, and the component's least label follows its largest.  The
@@ -161,16 +167,16 @@ class PlanarDiagram:
         read as `to_planar` numbers it: its smaller label enters the
         later crossing (in list order).
         """
-        if self._signs is not None:
-            return self._signs
         strands: dict[int, list[int]] = {}  # arc -> arcs it runs into
         for a, b, c, d in self.crossings:
             for x, y in ((a, c), (c, a), (b, d), (d, b)):
                 strands.setdefault(x, []).append(y)
         span: dict[int, tuple[int, int]] = {}  # arc -> its component's range
+        self.components = self.loops
         for start in strands:
             if start in span:
                 continue
+            self.components += 1
             comp, stack = {start}, [start]
             while stack:
                 for y in strands[stack.pop()]:
@@ -219,6 +225,9 @@ class PlanarDiagram:
                     f"crossing X({a},{b},{c},{d}): over-strand direction "
                     "is not consistent with sequential numbering")
         self._signs = tuple(out)
+
+    def signs(self) -> tuple[int, ...]:
+        """Crossing signs, as read from the arc labels (`_read_labels`)."""
         return self._signs
 
     def writhe(self) -> int:
@@ -226,9 +235,8 @@ class PlanarDiagram:
 
     def mirror(self) -> "PlanarDiagram":
         """Reflected diagram: corner order reversed, under-in kept."""
-        signs = None if self._signs is None else tuple(-s for s in self._signs)
         return PlanarDiagram([(a, d, c, b) for (a, b, c, d) in self.crossings],
-                             self.loops, signs)
+                             self.loops)
 
     def __eq__(self, other):
         return (isinstance(other, PlanarDiagram)
@@ -321,13 +329,8 @@ def kauffman_bracket(pd: PlanarDiagram) -> Laurent1:
         raise BudgetExceededError(
             f"{n} crossings exceed the bracket budget of "
             f"{BRACKET_CROSSING_BUDGET}")
-    oriented = _OrientedState.from_planar(pd)
-    _check_component_budget(oriented)
-    # corner 4k + p is port p of crossing k; arc[c] is the other end of
-    # the arc at corner c
-    arc = [0] * (4 * n)
-    for (k, p), (k2, p2) in oriented.wiring.items():
-        arc[4 * k + p] = 4 * k2 + p2
+    _check_component_budget(pd)
+    arc = _arc_ends(pd.crossings)
     left = set(range(n))
     score = [-j for j in range(n)]  # n * (arcs into the part) - index
     pos = [-1] * (4 * n)  # a corner's frontier index, once it has one
@@ -449,17 +452,9 @@ class _OrientedState:
 
     @classmethod
     def from_planar(cls, pd: PlanarDiagram) -> "_OrientedState":
-        signs = {k: s for k, s in enumerate(pd.signs())}
-        ends: dict[int, list[tuple[int, int]]] = {}
-        for k, c in enumerate(pd.crossings):
-            for p, arc in enumerate(c):
-                ends.setdefault(arc, []).append((k, p))
-        wiring = {}
-        for pair in ends.values():
-            x, y = pair
-            wiring[x] = y
-            wiring[y] = x
-        return cls(signs, wiring, pd.loops)
+        wiring = {(c >> 2, c & 3): (e >> 2, e & 3)
+                  for c, e in enumerate(_arc_ends(pd.crossings))}
+        return cls(dict(enumerate(pd.signs())), wiring, pd.loops)
 
     def out_ports(self) -> tuple:
         if self._outs is None:
@@ -486,9 +481,6 @@ class _OrientedState:
                     break
                 cur = nxt
             yield comp
-
-    def component_count(self) -> int:
-        return sum(1 for _ in self._walk_components()) + self.loops
 
     def first_bad_crossing(self):
         """(k, None) for the first crossing k reached on its under strand
@@ -678,32 +670,21 @@ class _OrientedState:
 
     def to_planar(self) -> PlanarDiagram:
         """Retrace into sequential PD form (components in walk order)."""
-        arcs: dict[tuple[int, int], int] = {}  # in-port -> arc label
+        arcs: dict[tuple[int, int], int] = {}  # port -> its arc's label
         label = 0
         for comp in self._walk_components():
             if len(comp) == 2 and comp[0][0] != comp[1][0]:
                 # a two-arc component (not a curl): its smaller label
-                # enters the last crossing it passes over; signs() reads
-                # this labelling only where it passes over at both
+                # enters the last crossing it passes over; _read_labels
+                # reads this labelling only where it passes over at both
                 comp = sorted(comp, key=lambda kp: (kp[1] != 0, kp[0]),
                               reverse=True)
-            for (k, p) in comp:
+            for in_port in comp:
                 label += 1
-                arcs[(k, p)] = label
-        crossings = []
-        signs = []
-        for k in sorted(self.signs):
-            row = []
-            for p in range(4):
-                if (k, p) in arcs:
-                    row.append(arcs[(k, p)])
-                else:
-                    # out-port: the label of the arc leaving here is the
-                    # one arriving at the wired partner
-                    row.append(arcs[self.wiring[(k, p)]])
-            crossings.append(tuple(row))
-            signs.append(self.signs[k])
-        return PlanarDiagram(crossings, self.loops, tuple(signs))
+                arcs[in_port] = arcs[self.wiring[in_port]] = label
+        crossings = [tuple(arcs[(k, p)] for p in range(4))
+                     for k in sorted(self.signs)]
+        return PlanarDiagram(crossings, self.loops)
 
 
 # --------------------------------------------------------------------------
@@ -748,9 +729,8 @@ def homfly(knot: "PlanarDiagram | BraidWord") -> Laurent2:
         raise BudgetExceededError(
             f"{knot.n_crossings} crossings exceed the skein budget of "
             f"{HOMFLY_CROSSING_BUDGET}")
-    state = _OrientedState.from_planar(knot)
-    _check_component_budget(state)
-    return _homfly_state(state)
+    _check_component_budget(knot)
+    return _homfly_state(_OrientedState.from_planar(knot))
 
 
 def sun_slice(h: Laurent2, n: int) -> Laurent1:
@@ -778,8 +758,7 @@ def connected_sum(k1: PlanarDiagram, k2: PlanarDiagram) -> PlanarDiagram:
     if not k1.crossings:
         k1, k2 = k2, k1
     if not k2.crossings:
-        return PlanarDiagram(k1.crossings, k1.loops + k2.loops - 1,
-                             k1.signs())
+        return PlanarDiagram(k1.crossings, k1.loops + k2.loops - 1)
     s1 = _OrientedState.from_planar(k1)
     s2 = _OrientedState.from_planar(k2)
     off = max(s1.signs) + 1

@@ -160,6 +160,23 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
 
 
+def test_double_mirror_mark_is_unknown_knot(capsys):
+    code, out, err = run_cli(capsys, "jones", "--knot", "3_1!!")
+    assert code == 2 and not out
+    assert err.startswith("error: unknown knot '3_1!!'"), err
+
+
+def test_malformed_probes_exit_2(capsys):
+    for command in ("extract", "verify"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--knot", "3_1", "--probes", "2,a"])
+        assert exc.value.code == 2, command
+        out, err = capsys.readouterr()
+        assert not out and "<lambda>" not in err, err
+        assert "argument --probes: '2,a' is not a comma-separated list" \
+            in err, err
+
+
 def test_link_extract_and_verify_exit_2(capsys):
     # a link's skein polynomial has no su(N) slice in Laurent q
     for command in ("extract", "verify"):

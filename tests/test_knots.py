@@ -102,6 +102,34 @@ def test_pd_text_roundtrip_links_and_loops():
     assert pd_to_text(UNKNOT) == "unknot"
 
 
+def test_labels_carry_the_signs_and_components_of_every_state():
+    # to_planar writes only labels, so the signs and the component count
+    # read back from them must be the state's own: on seeded closures and
+    # on every state of their skein trees, unreduced and reduced
+    rng = random.Random(2424)
+    checked = 0
+    for _ in range(80):
+        strands = rng.randint(2, 6)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(0, 9))]
+        stack = [_OrientedState.from_planar(
+            braid_closure(BraidWord(strands, word)))]
+        while stack:
+            state = stack.pop()
+            for s in (state, state.reduced()):
+                pd = s.to_planar()
+                label = (strands, word, pd_to_text(pd))
+                assert pd.signs() == tuple(
+                    s.signs[k] for k in sorted(s.signs)), label
+                walks = sum(1 for _ in s._walk_components())
+                assert pd.components == walks + s.loops, label
+                checked += 1
+            bad, _ = state.first_bad_crossing()
+            if bad is not None:
+                stack += [state.smoothed(bad), state.switched(bad)]
+    assert checked > 10000, checked
+
+
 def test_braid_word_validation():
     with pytest.raises(ValueError):
         BraidWord(2, [2])
@@ -262,6 +290,10 @@ def test_rational_knot_validation():
 def test_unknown_knot_name():
     with pytest.raises(KeyError):
         knot("9_99")
+    # one trailing '!' mirrors; a second one names no knot
+    for name in ("3_1!!", "4_1!!!"):
+        with pytest.raises(KeyError, match="unknown knot"):
+            knot(name)
 
 
 def test_mirror_suffix():
@@ -785,7 +817,8 @@ def test_canonical_code_matches_exhaustive_search():
             assert code == _reference_canonical_code(state), label
             seen["states"] += 1
             seen["split"] += ("s",) in code
-            seen["three"] += state.component_count() == 3
+            walks = sum(1 for _ in state._walk_components())
+            seen["three"] += walks + state.loops == 3
             if code in codes:
                 continue
             codes.add(code)
