@@ -121,7 +121,9 @@ def clear_caches() -> None:
 
     Clears each `functools.cache` that a loaded submodule defines, and the
     two dict caches: `diagrams._CANON_CACHE` (seeded by enumeration) and
-    `knots._HOMFLY_MEMO` (keyed by a skein state's canonical code).
+    `knots._HOMFLY_MEMO` (keyed by a skein state's walk code; it is not
+    minimized, so one diagram under other crossing ids may take two
+    entries).
     """
     diagrams._CANON_CACHE.clear()
     knots._HOMFLY_MEMO.clear()

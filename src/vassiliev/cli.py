@@ -34,6 +34,8 @@ from .knots import (
     BudgetExceededError,
     PlanarDiagram,
     braid_closure,
+    braid_components,
+    check_component_budget,
     homfly,
     jones,
     parse_pd,
@@ -130,7 +132,9 @@ def _resolve_knot(args) -> PlanarDiagram:
                          f"word: {args.braid!r}")
     if strands is None:
         strands = max(abs(x) for x in letters) + 1
-    return braid_closure(BraidWord(strands, letters))
+    word = BraidWord(strands, letters)
+    check_component_budget(braid_components(word))
+    return braid_closure(word)
 
 
 def _knot_label(args) -> str:

@@ -26,9 +26,11 @@ Invariants:
   * homfly -- skein recursion (a P+ - a^{-1} P- = z P0, unknot = 1)
     toward descending diagrams.  Each state first loses its curls
     (Reidemeister I) and bigons (Reidemeister II); a descending state
-    is then evaluated at once, and any other is memoized on a canonical
-    diagram code.  At most HOMFLY_CROSSING_BUDGET crossings and
-    COMPONENT_BUDGET components;
+    is then evaluated at once, and any other is memoized on its walk
+    code, which records every arc but is not minimized over crossing
+    ids: after the removal few states recur, and a least-code search
+    cost more than its extra hits saved.  At most HOMFLY_CROSSING_BUDGET
+    crossings and COMPONENT_BUDGET components;
   * sun_slice -- the su(N) one-variable specialization a = q^N,
     z = q - q^{-1}; at N = 2 it recovers jones with t = q^2.
 """
@@ -56,10 +58,11 @@ BRACKET_CROSSING_BUDGET = 16
 COMPONENT_BUDGET = 100
 
 
-def _check_component_budget(pd: PlanarDiagram) -> None:
-    if pd.components > COMPONENT_BUDGET:
+def check_component_budget(components: int) -> None:
+    """Raise BudgetExceededError above COMPONENT_BUDGET components."""
+    if components > COMPONENT_BUDGET:
         raise BudgetExceededError(
-            f"{pd.components} components exceed the component budget of "
+            f"{components} components exceed the component budget of "
             f"{COMPONENT_BUDGET}")
 
 
@@ -329,7 +332,7 @@ def kauffman_bracket(pd: PlanarDiagram) -> Laurent1:
         raise BudgetExceededError(
             f"{n} crossings exceed the bracket budget of "
             f"{BRACKET_CROSSING_BUDGET}")
-    _check_component_budget(pd)
+    check_component_budget(pd.components)
     arc = _arc_ends(pd.crossings)
     left = set(range(n))
     score = [-j for j in range(n)]  # n * (arcs into the part) - index
@@ -442,13 +445,12 @@ class _OrientedState:
     out-port with an in-port.
     """
 
-    __slots__ = ("signs", "wiring", "loops", "_outs")
+    __slots__ = ("signs", "wiring", "loops")
 
     def __init__(self, signs: dict, wiring: dict, loops: int):
         self.signs = signs  # crossing id -> +-1
         self.wiring = wiring  # (id, port) -> (id, port), symmetric
         self.loops = loops
-        self._outs = None  # sorted out-ports, filled on first use
 
     @classmethod
     def from_planar(cls, pd: PlanarDiagram) -> "_OrientedState":
@@ -456,31 +458,22 @@ class _OrientedState:
                   for c, e in enumerate(_arc_ends(pd.crossings))}
         return cls(dict(enumerate(pd.signs())), wiring, pd.loops)
 
-    def out_ports(self) -> tuple:
-        if self._outs is None:
-            self._outs = tuple(sorted(
-                (k, p) for k, s in self.signs.items()
-                for p in (2, 1 if s > 0 else 3)))
-        return self._outs
+    def out_ports(self) -> list:
+        return sorted((k, p) for k, s in self.signs.items()
+                      for p in (2, 1 if s > 0 else 3))
 
     def _walk_components(self):
         """Yield components as lists of (crossing, in_port) arrivals."""
         seen_out = set()
-        for start in self.out_ports():
-            if start in seen_out:
-                continue
+        for cur in self.out_ports():
             comp = []
-            cur = start
-            while True:
+            while cur not in seen_out:  # back at the start: closed
                 seen_out.add(cur)
-                dst = self.wiring[cur]
-                comp.append(dst)
-                k, p = dst
-                nxt = (k, p ^ 2)
-                if nxt == start:
-                    break
-                cur = nxt
-            yield comp
+                k, p = self.wiring[cur]
+                comp.append((k, p))
+                cur = (k, p ^ 2)
+            if comp:
+                yield comp
 
     def first_bad_crossing(self):
         """(k, None) for the first crossing k reached on its under strand
@@ -573,100 +566,26 @@ class _OrientedState:
         wiring.update(spliced)  # rewires every far end of a deleted port
         return _OrientedState(signs, wiring, self.loops + loops)
 
-    def canonical_code(self) -> tuple:
-        """Label-independent code, the skein memo key: the least walk code
-        over every starting out-port.
-
-        A code starts with the token ("n", sign, port) of the arrival
-        `wiring[start]`, so only starts whose arrival has the least
-        (sign, port) are traced, and each trace stops at its first token
-        above the least code so far (`_trace`).  Neither drops a start
-        that could reach the least code, so the code is that minimum.
+    def walk_code(self) -> tuple:
+        """The skein memo key: per component, a token per arrival,
+        ("n", sign, port) at a new crossing and ("o", its discovery number,
+        port) at a known one, then ("c",); last ("loops", free loops).
+        The out-port after arrival (k, p) is (k, p ^ 2), so equal codes
+        are the same diagram; one diagram under other crossing ids may
+        take a second memo entry, which costs time, never a wrong value.
         """
-        outs = self.out_ports()
-        if not outs:
-            return ("loops", self.loops)
-        wiring, signs = self.wiring, self.signs
-        firsts = [(signs[wiring[s][0]], wiring[s][1]) for s in outs]
-        least = min(firsts)
-        best = None
-        for start, first in zip(outs, firsts):
-            if first == least:
-                best = self._trace_code(start, best) or best
-        return best + ("loops", self.loops)
-
-    def _trace_code(self, start, bound=None):
-        """Walk code from out-port `start`; None once it exceeds `bound`."""
         disc: dict[int, int] = {}
         tokens: list = []
-        seen_out: set = set()
-        bound = self._trace(start, disc, tokens, seen_out, bound)
-        if bound is False:
-            return None
-        return self._finish_code(disc, tokens, seen_out, bound)
-
-    def _trace(self, start, disc, tokens, seen_out, bound=None, lead=None):
-        """Walk one component from out-port `start`, appending `lead` (if
-        any) and then a token per arrival, numbering crossings in
-        discovery order.
-
-        `bound` is a code whose prefix `tokens` equals, or None: each new
-        token is compared with the bound's at its index.  Returns the
-        bound for the tokens that follow, None once a token is smaller,
-        or False (the walk stops) once one is greater.  All codes of a
-        state have one length, so a code that completes is <= the bound.
-        """
-        wiring, signs = self.wiring, self.signs
-        cur, token = start, lead
-        while True:
-            if token is not None:
-                if bound is not None and token != bound[len(tokens)]:
-                    if token > bound[len(tokens)]:
-                        return False
-                    bound = None
-                tokens.append(token)
-            if cur is None:
-                return bound
-            seen_out.add(cur)
-            k, p = wiring[cur]
-            if k not in disc:
-                disc[k] = len(disc)
-                token = ("n", signs[k], p)
-            else:
-                token = ("o", disc[k], p)
-            cur = (k, p ^ 2)
-            if cur == start:
-                cur = None
-
-    def _finish_code(self, disc, tokens, seen_out, bound=None):
-        # further components: start from the smallest unvisited out-port
-        # of an already-discovered crossing
-        outs = self.out_ports()
-        while len(seen_out) < len(outs):
-            cands = [(disc[k], pp) for (k, pp) in outs
-                     if k in disc and (k, pp) not in seen_out]
-            if not cands:
-                break
-            d_id, pp = min(cands)
-            k = list(disc)[d_id]  # disc numbers crossings in insertion order
-            bound = self._trace((k, pp), disc, tokens, seen_out, bound,
-                                ("c", d_id, pp))
-            if bound is False:
-                return None
-        if len(seen_out) == len(outs):
-            return tuple(tokens)
-        # split diagram: minimize over every entry point of the rest; a
-        # completed tail becomes the bound of the next ones
-        best = None
-        for cand in outs:
-            if cand not in seen_out:
-                disc2, tokens2, seen2 = dict(disc), list(tokens), set(seen_out)
-                rest = self._trace(cand, disc2, tokens2, seen2, bound, ("s",))
-                if rest is not False:
-                    tail = self._finish_code(disc2, tokens2, seen2, rest)
-                    if tail is not None:
-                        best = bound = tail
-        return best
+        for comp in self._walk_components():
+            for k, p in comp:
+                if k in disc:
+                    tokens.append(("o", disc[k], p))
+                else:
+                    disc[k] = len(disc)
+                    tokens.append(("n", self.signs[k], p))
+            tokens.append(("c",))
+        tokens.append(("loops", self.loops))
+        return tuple(tokens)
 
     def to_planar(self) -> PlanarDiagram:
         """Retrace into sequential PD form (components in walk order)."""
@@ -706,7 +625,7 @@ def _homfly_state(state: _OrientedState) -> Laurent2:
     bad, comps = state.first_bad_crossing()
     if bad is None:
         return _DELTA ** (comps - 1) if comps > 1 else Laurent2.one()
-    code = state.canonical_code()
+    code = state.walk_code()
     cached = _HOMFLY_MEMO.get(code)
     if cached is not None:
         return cached
@@ -724,12 +643,13 @@ def _homfly_state(state: _OrientedState) -> Laurent2:
 def homfly(knot: "PlanarDiagram | BraidWord") -> Laurent2:
     """Skein polynomial in (a, z): a^{-1} P+ - a P- = z P0, unknot 1."""
     if isinstance(knot, BraidWord):
+        check_component_budget(braid_components(knot))
         knot = braid_closure(knot)
     if knot.n_crossings > HOMFLY_CROSSING_BUDGET:
         raise BudgetExceededError(
             f"{knot.n_crossings} crossings exceed the skein budget of "
             f"{HOMFLY_CROSSING_BUDGET}")
-    _check_component_budget(knot)
+    check_component_budget(knot.components)
     return _homfly_state(_OrientedState.from_planar(knot))
 
 
@@ -922,6 +842,24 @@ def rational_knot(code) -> PlanarDiagram:
 
 # --------------------------------------------------------------------------
 # braid closures
+
+
+def braid_components(word: BraidWord) -> int:
+    """Components of the closure of `word`, free strands included, in
+    O(letters), so a budget check needs no closure: an untouched strand
+    is one component, and the touched strands close along the cycles of
+    the word's permutation."""
+    perm: dict[int, int] = {}
+    for x in word.letters:
+        i = abs(x)
+        perm[i - 1], perm[i] = perm.get(i, i), perm.get(i - 1, i - 1)
+    components = word.strands - len(perm)
+    while perm:  # one cycle per pass
+        components += 1
+        j = next(iter(perm))
+        while j in perm:
+            j = perm.pop(j)
+    return components
 
 
 def braid_closure(word: BraidWord) -> PlanarDiagram:

@@ -301,6 +301,21 @@ def test_component_budget_exit_3(capsys):
     assert code == 0 and "jones: " in out
 
 
+def test_braid_budget_counted_before_closure(capsys, monkeypatch):
+    # 300000 free strands exit 3 from the word alone: no closure (and so
+    # no pseudo-node splice over every strand) is built
+    from vassiliev import knots
+
+    def no_closure(edges):
+        raise AssertionError("the closure was built")
+
+    monkeypatch.setattr(knots, "_splice_pseudo", no_closure)
+    code, out, err = run_cli(capsys, "jones", "--braid", "300000:")
+    assert code == 3 and not out
+    assert err.strip() == (f"error: 300000 components exceed the component "
+                           f"budget of {COMPONENT_BUDGET}")
+
+
 def _json_leaves(value):
     if isinstance(value, dict):
         for v in value.values():

@@ -13,6 +13,7 @@ from vassiliev.knots import (
     BudgetExceededError,
     PlanarDiagram,
     braid_closure,
+    braid_components,
     connected_sum,
     determinant,
     homfly,
@@ -105,15 +106,18 @@ def test_pd_text_roundtrip_links_and_loops():
 def test_labels_carry_the_signs_and_components_of_every_state():
     # to_planar writes only labels, so the signs and the component count
     # read back from them must be the state's own: on seeded closures and
-    # on every state of their skein trees, unreduced and reduced
+    # on every state of their skein trees, unreduced and reduced.  The
+    # count from the braid word alone must agree with the closure's
     rng = random.Random(2424)
     checked = 0
     for _ in range(80):
         strands = rng.randint(2, 6)
         word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
                 for _ in range(rng.randint(0, 9))]
-        stack = [_OrientedState.from_planar(
-            braid_closure(BraidWord(strands, word)))]
+        braid = BraidWord(strands, word)
+        closure = braid_closure(braid)
+        assert braid_components(braid) == closure.components, (strands, word)
+        stack = [_OrientedState.from_planar(closure)]
         while stack:
             state = stack.pop()
             for s in (state, state.reduced()):
@@ -361,7 +365,7 @@ def test_knot_polynomials_keep_int_coefficients():
 
 
 def test_homfly_memo_matches_fresh():
-    # the skein memo is keyed on canonical_code; a key that merged two
+    # the skein memo is keyed on walk_code; a key that merged two
     # different states would make shared-memo values differ from fresh ones
     from vassiliev.knots import _HOMFLY_MEMO
 
@@ -609,7 +613,7 @@ def test_jones_of_torus_knots_up_to_the_budget():
     assert _torus_jones(2, 3) == JONES_TABLE["3_1"].mirror()
 
 
-def test_component_budget_counts_free_loops():
+def test_component_budget_counts_free_loops(monkeypatch):
     # an s:1 braid closes to s - 1 components, s - 2 of them free loops
     at_limit = braid_closure(BraidWord(COMPONENT_BUDGET + 1, [1]))
     over = braid_closure(BraidWord(COMPONENT_BUDGET + 2, [1]))
@@ -623,6 +627,17 @@ def test_component_budget_counts_free_loops():
             with pytest.raises(BudgetExceededError, match=(
                     f"component budget of {COMPONENT_BUDGET}")):
                 invariant(pd)
+    # a braid word is counted before its closure builds any strand
+    from vassiliev import knots
+
+    def no_closure(edges):
+        raise AssertionError("the closure was built")
+
+    monkeypatch.setattr(knots, "_splice_pseudo", no_closure)
+    with pytest.raises(BudgetExceededError, match=(
+            f"^999999 components exceed the component budget of "
+            f"{COMPONENT_BUDGET}$")):
+        homfly(BraidWord(10 ** 6, [1]))
 
 
 def _reference_smoothed(state: _OrientedState, k: int) -> _OrientedState:
@@ -800,23 +815,27 @@ def _skein_code_cases():
             yield (strands, word), pd
 
 
-def test_canonical_code_matches_exhaustive_search():
-    # the skein memo key must be the least code over every start, on
-    # every state of the unreduced skein tree: knots, split links, 3
-    # components.  The tree is walked here (switch and smooth at the first
-    # bad crossing until descending), as homfly's curl and bigon removal
-    # leaves few states for the key; a state whose code was met before is
-    # not expanded again, as a memo hit would not be
+def test_walk_code_never_merges_distinct_states():
+    # the skein memo key may give one diagram several codes, but must
+    # never give two diagrams one: every key meets only one class of the
+    # exhaustive least code, on every state of the unreduced skein tree
+    # (knots, split links, 3 components).  The tree is walked here
+    # (switch and smooth at the first bad crossing until descending), as
+    # homfly's curl and bigon removal leaves few states for the key; a
+    # state whose key was met before is not expanded again, as a memo hit
+    # would not be
+    classes: dict = {}  # walk_code -> the reference code first met
     seen = {"states": 0, "split": 0, "three": 0}
     for label, pd in _skein_code_cases():
         codes = set()
         stack = [_OrientedState.from_planar(pd)]
         while stack:
             state = stack.pop()
-            code = state.canonical_code()
-            assert code == _reference_canonical_code(state), label
+            code = state.walk_code()
+            reference = _reference_canonical_code(state)
+            assert classes.setdefault(code, reference) == reference, label
             seen["states"] += 1
-            seen["split"] += ("s",) in code
+            seen["split"] += ("s",) in reference
             walks = sum(1 for _ in state._walk_components())
             seen["three"] += walks + state.loops == 3
             if code in codes:
@@ -834,12 +853,13 @@ _DELTA = Laurent2({(-1, -1): 1, (1, -1): -1})  # (1/a - a)/z
 
 def _reference_homfly(pd: PlanarDiagram) -> Laurent2:
     """The skein recursion without curl and bigon removal, with a memo of
-    its own: every state is keyed on its canonical code, then switched
-    and smoothed at its first bad crossing until it is descending."""
+    its own: every state is keyed on its walk code, as homfly's are, then
+    switched and smoothed at its first bad crossing until it is
+    descending."""
     memo: dict = {}
 
     def value(state):
-        code = state.canonical_code()
+        code = state.walk_code()
         if code not in memo:
             bad, comps = state.first_bad_crossing()
             if bad is None:
