@@ -285,9 +285,9 @@ def _stu_mates(d: Diagram) -> set[Diagram]:
     """Diagrams appearing with d in some STU relation."""
     out: set[Diagram] = set()
     L = d.legs
-    # resolutions of d (d as the vertex term; a leg is an edge's first end)
-    for a, b in d.edges:
-        if a < L <= b:
+    # resolutions of d (d as the vertex term)
+    for a, b in enumerate(d.partner[:L]):
+        if b >= L:
             out.update(stu(d, (b - L) // 3, a).terms)
     # adjacent-leg transpositions (d as one of the two resolved terms)
     for p in range(L):

@@ -36,6 +36,7 @@ from .knots import (
     braid_closure,
     braid_components,
     check_component_budget,
+    check_crossing_budget,
     homfly,
     jones,
     parse_pd,
@@ -133,7 +134,10 @@ def _resolve_knot(args) -> PlanarDiagram:
     if strands is None:
         strands = max(abs(x) for x in letters) + 1
     word = BraidWord(strands, letters)
+    # one crossing per letter: both budgets precede the closure
     check_component_budget(braid_components(word))
+    check_crossing_budget(len(word.letters),
+                          "bracket" if args.command == "jones" else "skein")
     return braid_closure(word)
 
 

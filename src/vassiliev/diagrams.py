@@ -9,7 +9,10 @@ The degree is (L + T) / 2.
 Endpoint encoding: legs are 0..L-1 following the circle orientation;
 slot s of internal vertex v is L + 3*v + s.  The stored slot order
 (0, 1, 2) of a vertex *is* its positive cyclic order; reversing it flips
-the diagram's sign (antisymmetry of the internal vertices).
+the diagram's sign (antisymmetry of the internal vertices).  A Diagram
+stores only `partner`, the tuple whose entry x is the half-edge joined
+to x; `edges`, the pairs (a, b) with a < b in order of a, is derived
+from it.
 
 Canonical forms quotient by circle rotation, vertex relabelling and
 cyclic slot rotation; orientation reversals are tracked as signs.  The
@@ -66,74 +69,66 @@ def _dashed_roots(legs: int, vertices: int, edges) -> list[int]:
 
 
 class Diagram:
-    """Immutable trivalent diagram on an oriented circle."""
+    """Immutable trivalent diagram on an oriented circle, stored as
+    `partner` (entry x is the half-edge joined to x); `edges` is derived.
 
-    __slots__ = ("legs", "vertices", "edges", "_hash")
+    The edges may come in any order; one pass fills `partner` and checks
+    each edge's ends, then every dashed component must reach the circle.
+    """
+
+    __slots__ = ("legs", "vertices", "partner", "_hash")
 
     def __init__(self, legs: int, vertices: int, edges):
-        edges = tuple(sorted(tuple(sorted(e)) for e in edges))
-        self.legs = int(legs)
-        self.vertices = int(vertices)
-        self.edges = edges
-        self._hash = hash((self.legs, self.vertices, edges))
-        self._validate()
-
-    def _validate(self) -> None:
-        L, T = self.legs, self.vertices
+        L, T = int(legs), int(vertices)
         if L < 0 or T < 0:
             raise ValueError("negative leg or vertex count")
         n = L + 3 * T
         if n % 2:
             raise ValueError("odd number of half-edges cannot be matched")
-        if len(self.edges) != n // 2:
-            raise ValueError(f"expected {n // 2} edges, got {len(self.edges)}")
-        seen = set()
-        for a, b in self.edges:
+        edges = tuple(edges)
+        if len(edges) != n // 2:
+            raise ValueError(f"expected {n // 2} edges, got {len(edges)}")
+        partner = [-1] * n
+        for a, b in edges:
             if a == b:
                 raise ValueError("edge endpoints must be distinct half-edges")
-            for x in (a, b):
+            for x in (a, b) if a < b else (b, a):
                 if not 0 <= x < n:
                     raise ValueError(f"endpoint {x} out of range")
-                if x in seen:
+                if partner[x] >= 0:
                     raise ValueError(f"endpoint {x} used twice")
-                seen.add(x)
+            partner[a], partner[b] = b, a
+        self.legs = L
+        self.vertices = T
+        self.partner = partner = tuple(partner)
+        self._hash = hash((L, T, partner))
         if T:
-            self._check_components_touch_circle()
-
-    def _check_components_touch_circle(self) -> None:
-        # every dashed component must contain at least one leg
-        L = self.legs
-        roots = _dashed_roots(L, self.vertices, self.edges)
-        leg_roots = set(roots[:L])
-        for r in roots[L:]:
-            if r not in leg_roots:
+            # every dashed component must contain at least one leg
+            roots = _dashed_roots(L, T, enumerate(partner))
+            if not set(roots[L:]) <= set(roots[:L]):
                 raise ValueError(
                     "dashed component disconnected from the circle")
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as pairs (a, b), a < b, in order of a."""
+        return tuple((a, b) for a, b in enumerate(self.partner) if a < b)
 
     @property
     def degree(self) -> int:
         return (self.legs + self.vertices) // 2
 
-    def partner_map(self) -> dict[int, int]:
-        partner = {}
-        for a, b in self.edges:
-            partner[a] = b
-            partner[b] = a
-        return partner
-
     def has_tadpole(self) -> bool:
         """True if some edge joins two half-edges of the same vertex."""
-        L = self.legs
-        for a, b in self.edges:
-            if a >= L and b >= L and (a - L) // 3 == (b - L) // 3:
-                return True
-        return False
+        L, p = self.legs, self.partner
+        return any(p[x] >= L and (p[x] - L) // 3 == (x - L) // 3
+                   for x in range(L, len(p)))
 
     def __eq__(self, other):
         return (isinstance(other, Diagram)
                 and self.legs == other.legs
                 and self.vertices == other.vertices
-                and self.edges == other.edges)
+                and self.partner == other.partner)
 
     def __hash__(self):
         return self._hash
@@ -175,11 +170,7 @@ def _canonicalize_full(d: Diagram) -> tuple[SignedDiagram, tuple]:
     if cached is not None:
         return cached
     L, T = d.legs, d.vertices
-    partner = [0] * (L + 3 * T)
-    for a, b in d.edges:
-        partner[a] = b
-        partner[b] = a
-    best, sign = _least_code(L, T, partner)
+    best, sign = _least_code(L, T, d.partner)
     if d.has_tadpole():
         sign = 0
     canon = _rebuild(L, T, best)
@@ -192,7 +183,7 @@ def _canonicalize_full(d: Diagram) -> tuple[SignedDiagram, tuple]:
     return result
 
 
-def _least_code(L: int, T: int, partner: list) -> tuple[tuple, int]:
+def _least_code(L: int, T: int, partner: list | tuple) -> tuple[tuple, int]:
     """Least traversal code of a diagram and its sign (0 if codes of both
     signs reach it).
 
@@ -405,7 +396,7 @@ def decompose(d: Diagram) -> DecompositionReport:
     that no arc of the circle contains all legs of one of them.
     """
     L = d.legs
-    roots = _dashed_roots(L, d.vertices, d.edges)
+    roots = _dashed_roots(L, d.vertices, enumerate(d.partner))
     groups: dict[int, dict] = {}
     for p in range(L):
         groups.setdefault(roots[p], {"legs": [], "vertices": []})["legs"].append(p)
@@ -485,12 +476,8 @@ def product_all(ds) -> Diagram:
 
 def has_isolated_chord(d: Diagram) -> bool:
     """True if some chord joins two circle-adjacent legs."""
-    L = d.legs
-    for a, b in d.edges:
-        if a < L and b < L:
-            if (a + 1) % L == b or (b + 1) % L == a:
-                return True
-    return False
+    L, p = d.legs, d.partner
+    return any(p[a] == (a + 1) % L for a in range(L))
 
 
 # --------------------------------------------------------------------------
@@ -617,7 +604,7 @@ def _merged_legs(n: int):
     m = 2 * n  # legs of a degree-n chord diagram
     L = m - 1
     for chord in chord_diagrams(n):
-        cp = chord.partner_map()
+        cp = chord.partner
         for p in range(m):
             q = (p + 1) % m
             if cp[p] == q:

@@ -66,6 +66,16 @@ def check_component_budget(components: int) -> None:
             f"{COMPONENT_BUDGET}")
 
 
+def check_crossing_budget(crossings: int, invariant: str) -> None:
+    """Raise BudgetExceededError above the "bracket" or "skein" budget."""
+    budget = {"bracket": BRACKET_CROSSING_BUDGET,
+              "skein": HOMFLY_CROSSING_BUDGET}[invariant]
+    if crossings > budget:
+        raise BudgetExceededError(
+            f"{crossings} crossings exceed the {invariant} budget of "
+            f"{budget}")
+
+
 # --------------------------------------------------------------------------
 # planar diagrams
 
@@ -328,10 +338,7 @@ def kauffman_bracket(pd: PlanarDiagram) -> Laurent1:
     polynomial times delta^(loops - 1) per loop count.
     """
     n = len(pd.crossings)
-    if n > BRACKET_CROSSING_BUDGET:
-        raise BudgetExceededError(
-            f"{n} crossings exceed the bracket budget of "
-            f"{BRACKET_CROSSING_BUDGET}")
+    check_crossing_budget(n, "bracket")
     check_component_budget(pd.components)
     arc = _arc_ends(pd.crossings)
     left = set(range(n))
@@ -643,12 +650,11 @@ def _homfly_state(state: _OrientedState) -> Laurent2:
 def homfly(knot: "PlanarDiagram | BraidWord") -> Laurent2:
     """Skein polynomial in (a, z): a^{-1} P+ - a P- = z P0, unknot 1."""
     if isinstance(knot, BraidWord):
+        # one crossing per letter: both budgets precede the closure
         check_component_budget(braid_components(knot))
+        check_crossing_budget(len(knot.letters), "skein")
         knot = braid_closure(knot)
-    if knot.n_crossings > HOMFLY_CROSSING_BUDGET:
-        raise BudgetExceededError(
-            f"{knot.n_crossings} crossings exceed the skein budget of "
-            f"{HOMFLY_CROSSING_BUDGET}")
+    check_crossing_budget(knot.n_crossings, "skein")
     check_component_budget(knot.components)
     return _homfly_state(_OrientedState.from_planar(knot))
 

@@ -36,10 +36,9 @@ from .linalg import SparseEliminator
 
 
 def _leg_partners(d: Diagram, v: int) -> list[int]:
-    """Circle positions attached to vertex v, sorted (edges are sorted
-    pairs, so a leg is always the first end of its edge)."""
-    L = d.legs
-    return sorted(a for a, b in d.edges if a < L <= b and (b - L) // 3 == v)
+    """Circle positions attached to vertex v, sorted."""
+    base = d.legs + 3 * v
+    return sorted(x for x in d.partner[base:base + 3] if x < d.legs)
 
 
 def stu(d: Diagram, v: int, leg: int | None = None) -> DiagramSum:
@@ -63,7 +62,7 @@ def stu(d: Diagram, v: int, leg: int | None = None) -> DiagramSum:
         raise ValueError(f"vertex {v} has no edge to leg {leg}")
 
     L = d.legs
-    partner = d.partner_map()
+    partner = d.partner
     base = L + 3 * v
     s_line = partner[leg] - base
     s_a = (s_line + 1) % 3
@@ -85,12 +84,10 @@ def stu(d: Diagram, v: int, leg: int | None = None) -> DiagramSum:
                 w -= 1
             return (L + 1) + 3 * w + s
 
-        edges = []
-        for x, y in d.edges:
-            if leg in (x, y):
-                continue  # the resolved line edge disappears
-            edges.append((remap(x), remap(y)))
-        return Diagram(L + 1, d.vertices - 1, edges)
+        # each edge once; the resolved line edge (at the leg) disappears
+        return Diagram(L + 1, d.vertices - 1, [
+            (remap(x), remap(y)) for x, y in enumerate(partner)
+            if x < y and x != leg])
 
     out = DiagramSum()
     out.add(build(leg, leg + 1), 1)
@@ -160,9 +157,9 @@ def ihx(d: Diagram, edge: tuple[int, int]) -> DiagramSum:
 
 def _first_resolvable(d: Diagram) -> tuple[int, int] | None:
     """Smallest leg whose edge ends on a vertex, with that vertex."""
-    L = d.legs
-    return min(((a, (b - L) // 3) for a, b in d.edges if a < L <= b),
-               default=None)
+    L, partner = d.legs, d.partner
+    return next(((a, (partner[a] - L) // 3) for a in range(L)
+                 if partner[a] >= L), None)
 
 
 def reduce_to_chords(d: Diagram) -> DiagramSum:

@@ -72,15 +72,13 @@ def _cycle_counts(d: Diagram) -> dict[tuple[int, int], int]:
     Arc a runs from leg a to leg a + 1; the walk leaves it at leg a + 1,
     straight on if that leg's chord is in J, else across the chord.
     """
-    L = d.legs
-    partner = [0] * L
+    L, partner = d.legs, d.partner
     chord_bit = [0] * L
     for k, (p, q) in enumerate(d.edges):
-        partner[p], partner[q] = q, p
         chord_bit[p] = chord_bit[q] = 1 << k
     ends = [(a + 1) % L for a in range(L)]
     counts = {}
-    for state in range(1 << len(d.edges)):
+    for state in range(1 << (L // 2)):
         step = [t if chord_bit[t] & state else partner[t] for t in ends]
         seen = [False] * L
         cycles = 0 if L else 1  # the bare circle is one loop

@@ -6,7 +6,11 @@ import sys
 import pytest
 
 from vassiliev.cli import main
-from vassiliev.knots import BRACKET_CROSSING_BUDGET, COMPONENT_BUDGET
+from vassiliev.knots import (
+    BRACKET_CROSSING_BUDGET,
+    COMPONENT_BUDGET,
+    HOMFLY_CROSSING_BUDGET,
+)
 
 
 def run_cli(capsys, *argv):
@@ -314,6 +318,16 @@ def test_braid_budget_counted_before_closure(capsys, monkeypatch):
     assert code == 3 and not out
     assert err.strip() == (f"error: 300000 components exceed the component "
                            f"budget of {COMPONENT_BUDGET}")
+    # one crossing per letter: 60,000 letters exit 3 from the word alone,
+    # against the bracket budget for jones and the skein budget otherwise
+    ones = "2:" + ",".join(["1"] * 60000)
+    for command, budget in (("jones", f"bracket budget of "
+                             f"{BRACKET_CROSSING_BUDGET}"),
+                            ("homfly", f"skein budget of "
+                             f"{HOMFLY_CROSSING_BUDGET}")):
+        code, out, err = run_cli(capsys, command, "--braid", ones)
+        assert code == 3 and not out, command
+        assert err.strip() == f"error: 60000 crossings exceed the {budget}"
 
 
 def _json_leaves(value):

@@ -375,8 +375,14 @@ def test_homfly_memo_matches_fresh():
         strands = rng.randint(2, 4)
         words.append((strands, [rng.choice([1, -1]) * rng.randint(1, strands - 1)
                                 for _ in range(rng.randint(1, 9))]))
+    # the memo holds what these words alone leave, whatever ran before
+    _HOMFLY_MEMO.clear()
     shared = [homfly(BraidWord(s, w)) for s, w in words]
-    assert len(_HOMFLY_MEMO) > len(words)
+    filled = dict(_HOMFLY_MEMO)
+    assert filled
+    # a second pass reads the memo and adds no entry
+    assert [homfly(BraidWord(s, w)) for s, w in words] == shared
+    assert _HOMFLY_MEMO == filled
     for (s, w), value in zip(words, shared):
         _HOMFLY_MEMO.clear()  # the skein recursion's only cache
         assert homfly(BraidWord(s, w)) == value, (s, w)
@@ -638,6 +644,11 @@ def test_component_budget_counts_free_loops(monkeypatch):
             f"^999999 components exceed the component budget of "
             f"{COMPONENT_BUDGET}$")):
         homfly(BraidWord(10 ** 6, [1]))
+    # and so are its crossings, one per letter
+    with pytest.raises(BudgetExceededError, match=(
+            f"^60000 crossings exceed the skein budget of "
+            f"{HOMFLY_CROSSING_BUDGET}$")):
+        homfly(BraidWord(2, [1] * 60000))
 
 
 def _reference_smoothed(state: _OrientedState, k: int) -> _OrientedState:

@@ -338,7 +338,7 @@ def test_deframed_su_equals_deframed_gl(basis6):
 
 def _boundary_cycles(d):
     """Cycles of the permutation leg p -> partner of leg p + 1."""
-    partner = d.partner_map()
+    partner = d.partner
     seen, cycles = set(), 0
     for p in range(d.legs):
         if p not in seen:
