@@ -28,14 +28,14 @@ least code so far.  A chord diagram (T = 0) has one branch and sign +1.
 
 Every enumeration (chord, one-vertex and connected diagrams) generates
 partner lists, collects their `_least_code` codes and builds one
-Diagram per class (`_classes`); no Diagram is built per source.  At
-degree 6 the 10,395 matchings give 902 chord classes, and the 9,844
-merges of two adjacent legs of a chord diagram into the leg of a new
-vertex (the inverse of an STU resolution) give the 1,575 one-vertex
-classes, the 4T sources.  A connected diagram's vertices are numbered
-by their first legs around the circle (legless vertices last), and
-its edges are then one labelled multigraph on the remaining degrees:
-no multigraph isomorphism is tested.
+Diagram per class (`_classes`); no Diagram is built per source.  Chord
+and one-vertex lists are only those whose leg 0 has the least first
+token (`_least_first`): at degree 6, 1,456 lists give the 902 chord
+classes and 2,349 give the 1,575 one-vertex classes, the 4T sources.
+A connected diagram's vertices are numbered by their first legs around
+the circle (legless vertices last, in breadth-first order), and its
+edges are then one labelled multigraph on the remaining degrees: no
+multigraph isomorphism is tested.
 """
 
 from __future__ import annotations
@@ -545,27 +545,6 @@ def chord_diagram(pairs, n_legs: int | None = None) -> Diagram:
     return Diagram(n_legs, 0, pairs)
 
 
-def _matchings(m: int):
-    """Every perfect matching of 0..m-1 as a partner list (one list,
-    refilled in place)."""
-    partner = [-1] * m
-
-    def rec(a):
-        while a < m and partner[a] >= 0:
-            a += 1
-        if a == m:
-            yield partner
-            return
-        for b in range(a + 1, m):
-            if partner[b] < 0:
-                partner[a], partner[b] = b, a
-                yield from rec(a + 1)
-                partner[b] = -1
-        partner[a] = -1
-
-    yield from rec(0)
-
-
 def _classes(L: int, T: int, partner_lists) -> list[Diagram]:
     """One canonical Diagram per class of the given partner lists, sorted
     by code; classes of sign 0 are dropped.
@@ -589,35 +568,52 @@ def _classes(L: int, T: int, partner_lists) -> list[Diagram]:
     return out
 
 
+def _least_first(L: int, T: int):
+    """Partner lists of the diagrams with L legs and T <= 1 vertices in
+    which leg 0 has the least first token (one list, refilled in place).
+
+    Leg 0 ends a chord (0, k) with k <= L/2, and every other chord
+    (a, b), a < b, has k <= b - a <= L - k; the vertex's slots 0, 1, 2
+    take three of the other legs in circle order.  `_least_code` reads
+    only rotations with the least first token, so every class has one
+    of these lists: a vertex leg's first token, L, exceeds every chord's,
+    and the other cyclic order of the vertex gives the same class.
+    """
+    if L == 3 * T:  # no chord: the empty diagram, or a tripod
+        yield list(range(L, 2 * L)) + list(range(L))
+        return
+    end = L + 3 * T  # one past the vertex's last slot
+    partner = [-1] * end
+
+    def rec(a, slot, k):
+        while a < L and partner[a] >= 0:
+            a += 1
+        if a == L:
+            if slot == end:
+                yield partner
+            return
+        if slot < end:  # leg a on the vertex's next slot
+            partner[a], partner[slot] = slot, a
+            yield from rec(a + 1, slot + 1, k)
+        for b in range(a + k, min(a + L - k, L - 1) + 1):
+            if partner[b] < 0:
+                partner[a], partner[b] = b, a
+                yield from rec(a + 1, slot, k)
+                partner[b] = -1
+        partner[a] = -1
+
+    for k in range(1, L // 2 + 1):
+        partner[0], partner[k] = k, 0
+        yield from rec(1, L, k)
+        partner[k] = -1
+
+
 @functools.cache
 def chord_diagrams(n: int) -> list[Diagram]:
     """All canonical chord diagrams of degree n, sorted; built from the
-    codes of all matchings, one Diagram per class."""
-    return _classes(2 * n, 0, _matchings(2 * n))
-
-
-def _merged_legs(n: int):
-    """Partner list of every merge of two circle-adjacent legs p, p+1
-    (not one isolated chord) of a canonical degree-n chord diagram into
-    the leg 0 of a new vertex, whose slots 1 and 2 take the legs'
-    partners."""
-    m = 2 * n  # legs of a degree-n chord diagram
-    L = m - 1
-    for chord in chord_diagrams(n):
-        cp = chord.partner
-        for p in range(m):
-            q = (p + 1) % m
-            if cp[p] == q:
-                continue
-            # rotate p, q to 0, 1, which both become the new leg 0
-            leg = [max((x - p) % m - 1, 0) for x in range(m)]
-            partner = [0] * (L + 3)
-            for x in range(m):  # leg 0 and its partners are reset below
-                partner[leg[x]] = leg[cp[x]]
-            a, b = leg[cp[p]], leg[cp[q]]
-            partner[0], partner[a], partner[b] = L, L + 1, L + 2
-            partner[L:] = (0, a, b)
-            yield partner
+    codes of the matchings whose leg 0 has the least first token
+    (`_least_first`), one Diagram per class."""
+    return _classes(2 * n, 0, _least_first(2 * n, 0))
 
 
 @functools.cache
@@ -626,12 +622,11 @@ def one_vertex_diagrams(n: int) -> list[Diagram]:
 
     These are the sources of the four-term relations: the two leg
     resolutions of the vertex must agree in the chord-diagram quotient.
-    Each one is built from a degree-n chord diagram by merging two
-    circle-adjacent legs into the single leg of a new vertex
-    (`_merged_legs`).  This inverts the STU resolution at that leg, so
-    every class arises.
+    They are built from the partner lists whose leg 0 ends a chord with
+    the least first token and whose vertex sits on three other legs
+    (`_least_first`).
     """
-    return _classes(2 * n - 1, 1, _merged_legs(n))
+    return _classes(2 * n - 1, 1, _least_first(2 * n - 1, 1))
 
 
 def _leg_sequences(L: int, T: int):
@@ -659,18 +654,40 @@ def _leg_sequences(L: int, T: int):
     yield from rec(0)
 
 
+def _breadth_first(first: int, T: int, edges) -> bool:
+    """True if a breadth-first search from vertices 0..first-1, scanning
+    neighbours in increasing number, finds the others in the order
+    first, first + 1, ..., T - 1."""
+    nbrs = [set() for _ in range(T)]
+    for a, b in edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    found = first
+    for u in range(T):  # while the order holds, the queue is 0..T-1
+        for w in sorted(nbrs[u]):
+            if w == found:
+                found += 1
+            elif w > found:
+                return False
+    return True
+
+
 def _completions(free: list[int]):
     """Every labelled, connected, loopless multigraph on vertices
-    0..T-1 in which vertex v has degree free[v], as an edge list."""
+    0..T-1 in which vertex v has degree free[v], as an edge list; the
+    vertices of degree 3 come last, in breadth-first order from the
+    others (`_breadth_first`)."""
     T = len(free)
+    first = T - free.count(3)
     pairs = list(itertools.combinations(range(T), 2))
     left = free[:]
 
     def rec(idx: int, edges: list):
         if idx == len(pairs):
             # vertex v is node v of the leg-free dashed graph (slot 3v)
-            if not any(left) and len(set(_dashed_roots(
-                    0, T, [(3 * a, 3 * b) for a, b in edges]))) == 1:
+            if not any(left) and _breadth_first(first, T, edges) and len(
+                    set(_dashed_roots(
+                        0, T, [(3 * a, 3 * b) for a, b in edges]))) == 1:
                 yield edges
             return
         a, b = pairs[idx]
@@ -691,10 +708,10 @@ def _leg_placements(L: int, T: int):
     the T vertices: one per (leg sequence, completion).
 
     A connected diagram rotates to its least renumbered leg sequence;
-    numbering each vertex by its first leg, and legless vertices last,
-    makes its edges a completion of the degrees 3 - legs(v).  Legs and
-    then edges take each vertex's slots in order; another slot order
-    only changes the sign.
+    numbering each vertex by its first leg, and legless vertices last in
+    breadth-first order from the others, makes its edges a completion of
+    the degrees 3 - legs(v).  Legs and then edges take each vertex's
+    slots in order; another slot order only changes the sign.
     """
     for seq in _leg_sequences(L, T):
         legs = [0] * (L + 3 * T)

@@ -10,6 +10,8 @@ from vassiliev.diagrams import (
     EMPTY,
     Diagram,
     DiagramSum,
+    _least_first,
+    _leg_placements,
     canonical_key,
     canonicalize,
     chord_diagram,
@@ -384,8 +386,43 @@ def test_one_vertex_class_counts_small():
 
 
 def test_one_vertex_matches_placement_enumeration():
-    for n in range(6):
+    for n in range(7):
         assert one_vertex_diagrams(n) == _one_vertex_by_placement(n)
+
+
+def test_least_first_lists():
+    # each list is a fixed-point-free involution, the vertex sits on
+    # three legs in circle order, leg 0 has the least first token, and
+    # no list comes twice
+    for T, top in ((0, 10), (1, 9)):
+        for L in range(T, top + 1, 2):
+            lists = [list(partner) for partner in _least_first(L, T)]
+            for partner in lists:
+                assert len(partner) == L + 3 * T
+                assert all(partner[x] != x and partner[partner[x]] == x
+                           for x in range(L + 3 * T)), partner
+                assert partner[L:] == sorted(partner[L:]) and \
+                    all(p < L for p in partner[L:]), partner
+                firsts = [(p - r) % L if p < L else L
+                          for r, p in enumerate(partner[:L])]
+                assert not L or firsts[0] == min(firsts), partner
+            assert len(set(map(tuple, lists))) == len(lists), (L, T)
+    assert [sum(1 for _ in _least_first(2 * n, 0)) for n in range(7)] == \
+        [1, 1, 2, 5, 24, 162, 1456]
+    assert [sum(1 for _ in _least_first(2 * n - 1, 1)) for n in range(7)] \
+        == [0, 0, 1, 2, 21, 206, 2349]
+
+
+@pytest.mark.parametrize("enumerate_,n,digest", [
+    (chord_diagrams, 6, "d3810980718c4fdc"),
+    (chord_diagrams, 7, "9ccae4cda49a00a0"),
+    (one_vertex_diagrams, 6, "9129cc30898f734b"),
+    (one_vertex_diagrams, 7, "0a546de4e6c955da")])
+def test_enumeration_lists_pinned(enumerate_, n, digest):
+    # sha256 of the lists the enumeration of every matching and of every
+    # merge of two adjacent legs gave
+    text = "\n".join(serialize(d) for d in enumerate_(n))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 def _connected_by_placement(n, T):
@@ -491,13 +528,23 @@ def test_connected_matches_multigraph_enumeration():
 
 @pytest.mark.parametrize("n,T,digest", [(4, 6, "77144fb80a1e46b9"),
                                         (5, 6, "d5e98dbd1016795d"),
+                                        (6, 5, "7208eecb86380c06"),
                                         (6, 6, "10c44f7f5cbd3495"),
-                                        (7, 6, "60adcc8c51a9c2d6")])
+                                        (7, 6, "60adcc8c51a9c2d6"),
+                                        (7, 7, "5c83e51999a1cf71")])
 def test_connected_lists_pinned(n, T, digest):
-    # sha256 of the lists the multigraph enumeration gave, for cases
-    # too slow for its T! relabelling
+    # sha256 of the lists the multigraph enumeration gave, (6, 5) and
+    # cases too slow for its T! relabelling; (7, 7) as given when
+    # legless vertices were numbered in every order
     text = "\n".join(serialize(d) for d in connected_diagrams(n, T))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_leg_placements_number_legless_vertices_once():
+    # legless vertices are numbered in breadth-first order only, not in
+    # every order (516 and 720 lists)
+    assert [sum(1 for _ in _leg_placements(2 * n - T, T))
+            for n, T in ((4, 6), (6, 6))] == [30, 443]
 
 
 def _assert_samples_enumerated(n, T, seed, count=200):
