@@ -28,6 +28,7 @@ from . import relations as _relations_mod
 from .diagrams import (
     EMPTY,
     Diagram,
+    _moved,
     canonicalize,
     component_multiset,
     connected_diagrams,
@@ -276,9 +277,9 @@ def divides(d1: Diagram, d2: Diagram) -> bool:
 
 
 def _leg_swap(d: Diagram, p: int, q: int) -> Diagram:
-    sigma = {p: q, q: p}
-    return Diagram(d.legs, d.vertices,
-                   [(sigma.get(a, a), sigma.get(b, b)) for a, b in d.edges])
+    image = list(range(len(d.partner)))
+    image[p], image[q] = q, p
+    return Diagram(d.legs, d.vertices, _moved(d, image))
 
 
 def _stu_mates(d: Diagram) -> set[Diagram]:

@@ -6,7 +6,7 @@ probes, cache directory) so results are reproducible; output is
 deterministic for a fixed configuration and cache state.
 
 Exit codes: 0 success, 1 check failure, 2 usage or input error,
-3 crossing or component budget exceeded.
+3 crossing, component or weight budget exceeded.
 """
 
 from __future__ import annotations
@@ -47,6 +47,13 @@ from .weights import DEFAULT_CONFIG, weight_sun, weight_sun_at
 from .factorization import SLICE_CONVENTION
 
 SKEIN_CONVENTION = "a^-1 P+ - a P- = z P0, unknot = 1"
+# `weight` expands up to 2^vertices chord terms and visits 2^degree chord
+# subsets of each, so it is refused above this degree + vertices.  At 20,
+# cold `weight --rank 3` took 5.5 s on 20 crossing chords and 3.5-5.2 s
+# on seeded random diagrams of degree 12-19 with 1-8 vertices (up to
+# 3.2 s with 9-13); each two more quadruple it: 22 crossing chords took
+# about 22 s (Python 3.11, 2-vCPU VM).  Every degree-7 diagram is within.
+WEIGHT_BUDGET = 20
 
 
 @dataclass(frozen=True)
@@ -199,6 +206,11 @@ def cmd_weight(args) -> int:
                              "lines; the file must hold one diagram")
         text = lines[0]
     d = parse_diagram(text)
+    if d.degree + d.vertices > WEIGHT_BUDGET:
+        raise BudgetExceededError(
+            f"degree {d.degree} + {d.vertices} vertices = "
+            f"{d.degree + d.vertices} exceeds the weight budget of "
+            f"{WEIGHT_BUDGET}")
     from .weights import weight_sun_deframed, weight_sun_deframed_at
 
     wfun = weight_sun_deframed if args.deframed else weight_sun

@@ -12,7 +12,9 @@ slot s of internal vertex v is L + 3*v + s.  The stored slot order
 the diagram's sign (antisymmetry of the internal vertices).  A Diagram
 stores only `partner`, the tuple whose entry x is the half-edge joined
 to x; `edges`, the pairs (a, b) with a < b in order of a, is derived
-from it.
+from it.  Every surgery (STU, IHX, leg swaps, chord drops, components
+and products) moves half-edges through one index map, `_moved`, and
+builds its result as a new Diagram from the moved edges.
 
 Canonical forms quotient by circle rotation, vertex relabelling and
 cyclic slot rotation; orientation reversals are tracked as signs.  The
@@ -66,6 +68,13 @@ def _dashed_roots(legs: int, vertices: int, edges) -> list[int]:
         if ra != rb:
             parent[ra] = rb
     return [find(x) for x in range(legs + vertices)]
+
+
+def _moved(d: Diagram, image) -> list[tuple[int, int]]:
+    """The edges of d with each end x moved to image[x]; an edge whose
+    ends map to -1 is dropped."""
+    return [(image[a], image[b]) for a, b in enumerate(d.partner)
+            if a < b and image[a] >= 0]
 
 
 class Diagram:
@@ -397,34 +406,20 @@ def decompose(d: Diagram) -> DecompositionReport:
     """
     L = d.legs
     roots = _dashed_roots(L, d.vertices, enumerate(d.partner))
-    groups: dict[int, dict] = {}
-    for p in range(L):
-        groups.setdefault(roots[p], {"legs": [], "vertices": []})["legs"].append(p)
-    for v in range(d.vertices):
-        groups.setdefault(roots[L + v], {"legs": [], "vertices": []})[
-            "vertices"].append(v)
-
+    root_of = [roots[x if x < L else L + (x - L) // 3]
+               for x in range(len(d.partner))]
     components = []
-    for root in sorted(groups, key=lambda r: min(groups[r]["legs"])):
-        legs = sorted(groups[root]["legs"])
-        verts = sorted(groups[root]["vertices"])
-        leg_index = {p: i for i, p in enumerate(legs)}
-        vert_index = {v: i for i, v in enumerate(verts)}
-        nl = len(legs)
-
-        def remap(ep):
-            if ep < L:
-                return leg_index[ep]
-            v, s = divmod(ep - L, 3)
-            return nl + 3 * vert_index[v] + s
-
-        edges = [
-            (remap(a), remap(b))
-            for a, b in d.edges
-            if roots[a if a < L else L + (a - L) // 3] == root
-        ]
-        sub = Diagram(nl, len(verts), edges)
-        components.append(Component(sub, tuple(legs)))
+    # every component has a leg: in the order of their first legs
+    for root in dict.fromkeys(roots[:L]):
+        # a component's half-edges, in order, are its new numbering
+        mine = [x for x, r in enumerate(root_of) if r == root]
+        image = [-1] * len(root_of)
+        for i, x in enumerate(mine):
+            image[x] = i
+        legs = tuple(x for x in mine if x < L)
+        sub = Diagram(len(legs), (len(mine) - len(legs)) // 3,
+                      _moved(d, image))
+        components.append(Component(sub, legs))
 
     overlapping = any(
         _interleaved(c1.leg_positions, c2.leg_positions)
@@ -446,25 +441,13 @@ def component_multiset(d: Diagram) -> tuple:
 
 def product(d1: Diagram, d2: Diagram) -> Diagram:
     """Juxtapose two diagrams: all legs of d2 after all legs of d1."""
-    L1, T1 = d1.legs, d1.vertices
-    L2, T2 = d2.legs, d2.vertices
-    L = L1 + L2
-
-    def remap(ep):
-        if ep < L2:
-            return L1 + ep
-        v, s = divmod(ep - L2, 3)
-        return L + 3 * (T1 + v) + s
-
-    def remap1(ep):
-        if ep < L1:
-            return ep
-        v, s = divmod(ep - L1, 3)
-        return L + 3 * v + s
-
-    edges = [(remap1(a), remap1(b)) for a, b in d1.edges]
-    edges += [(remap(a), remap(b)) for a, b in d2.edges]
-    return Diagram(L, T1 + T2, edges)
+    L1, L2 = d1.legs, d2.legs
+    n1, n2 = len(d1.partner), len(d2.partner)
+    # legs of d1, legs of d2, slots of d1, slots of d2
+    image1 = list(range(L1)) + list(range(L1 + L2, n1 + L2))
+    image2 = list(range(L1, L1 + L2)) + list(range(n1 + L2, n1 + n2))
+    return Diagram(L1 + L2, d1.vertices + d2.vertices,
+                   _moved(d1, image1) + _moved(d2, image2))
 
 
 def product_all(ds) -> Diagram:

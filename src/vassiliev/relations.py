@@ -23,6 +23,7 @@ from fractions import Fraction
 from .diagrams import (
     Diagram,
     DiagramSum,
+    _moved,
     canonicalize,
     chord_diagrams,
     has_isolated_chord,
@@ -61,37 +62,19 @@ def stu(d: Diagram, v: int, leg: int | None = None) -> DiagramSum:
     elif leg not in legs_of_v:
         raise ValueError(f"vertex {v} has no edge to leg {leg}")
 
-    L = d.legs
-    partner = d.partner
+    L, T = d.legs, d.vertices
     base = L + 3 * v
-    s_line = partner[leg] - base
-    s_a = (s_line + 1) % 3
-    s_b = (s_line + 2) % 3
-
-    def build(a_pos: int, b_pos: int) -> Diagram:
-        # map old endpoints to new ones; leg -> two legs at (leg, leg+1)
-        def remap(ep: int) -> int:
-            if ep < L:
-                return ep if ep < leg else ep + 1
-            w, s = divmod(ep - L, 3)
-            if w == v:
-                if s == s_a:
-                    return a_pos
-                if s == s_b:
-                    return b_pos
-                raise AssertionError("line slot should not appear")
-            if w > v:
-                w -= 1
-            return (L + 1) + 3 * w + s
-
-        # each edge once; the resolved line edge (at the leg) disappears
-        return Diagram(L + 1, d.vertices - 1, [
-            (remap(x), remap(y)) for x, y in enumerate(partner)
-            if x < y and x != leg])
-
+    s_line = d.partner[leg] - base
+    a, b = base + (s_line + 1) % 3, base + (s_line + 2) % 3
+    # legs after `leg` move up one, vertices after v down one; the leg
+    # edge and v's slots map to -1 until a term places v's other two
+    image = (list(range(leg)) + [-1] + list(range(leg + 2, L + 1))
+             + list(range(L + 1, base + 1)) + [-1] * 3
+             + list(range(base + 1, L + 3 * T - 2)))
     out = DiagramSum()
-    out.add(build(leg, leg + 1), 1)
-    out.add(build(leg + 1, leg), -1)
+    for coeff, a_pos, b_pos in ((1, leg, leg + 1), (-1, leg + 1, leg)):
+        image[a], image[b] = a_pos, b_pos
+        out.add(Diagram(L + 1, T - 1, _moved(d, image)), coeff)
     return out
 
 
@@ -120,8 +103,7 @@ def ihx(d: Diagram, edge: tuple[int, int]) -> DiagramSum:
     identity.  Degree, vertex count and connectivity are preserved.
     """
     a, b = edge
-    e = tuple(sorted((a, b)))
-    if e not in d.edges:
+    if not (0 <= a < len(d.partner) and d.partner[a] == b):
         raise ValueError("not an edge of the diagram")
     L = d.legs
     if a < L or b < L:
@@ -137,13 +119,12 @@ def ihx(d: Diagram, edge: tuple[int, int]) -> DiagramSum:
 
     def rewire(sigma: dict[int, int]) -> Diagram:
         # move edge ends between slots: the end at position p lands on
-        # sigma[p]; applying sigma to both endpoints of every edge
-        # handles edges joining two moved slots correctly
-        edges = [
-            (sigma.get(x, x), sigma.get(y, y))
-            for x, y in d.edges
-        ]
-        return Diagram(L, d.vertices, edges)
+        # sigma[p]; moving both ends of every edge handles edges joining
+        # two moved slots correctly
+        image = list(range(len(d.partner)))
+        for x, y in sigma.items():
+            image[x] = y
+        return Diagram(L, d.vertices, _moved(d, image))
 
     out = DiagramSum()
     out.add(rewire({ua[1]: wa[0], wa[0]: ua[1]}), 1)
@@ -272,10 +253,10 @@ class QuotientSpace:
 
 def _drop_chord(d: Diagram, a: int, b: int) -> Diagram:
     """The chord diagram d without its chord (a, b), a < b."""
-    def pos(p: int) -> int:
-        return p - (p > a) - (p > b)
-    return canonicalize(Diagram(d.legs - 2, 0, [
-        (pos(x), pos(y)) for x, y in d.edges if x != a])).diagram
+    image = list(range(d.legs - 2))
+    image.insert(a, -1)
+    image.insert(b, -1)
+    return canonicalize(Diagram(d.legs - 2, 0, _moved(d, image))).diagram
 
 
 class FramedQuotientSpace(QuotientSpace):

@@ -1,11 +1,19 @@
 import json
+import random
 import re
 import subprocess
 import sys
 
 import pytest
 
-from vassiliev.cli import main
+from vassiliev.cli import WEIGHT_BUDGET, main
+from vassiliev.diagrams import (
+    chord_diagram,
+    connected_diagrams,
+    product_all,
+    random_diagram,
+    serialize,
+)
 from vassiliev.knots import (
     BRACKET_CROSSING_BUDGET,
     COMPONENT_BUDGET,
@@ -328,6 +336,71 @@ def test_braid_budget_counted_before_closure(capsys, monkeypatch):
         code, out, err = run_cli(capsys, command, "--braid", ones)
         assert code == 3 and not out, command
         assert err.strip() == f"error: 60000 crossings exceed the {budget}"
+
+
+def test_weight_budget_exit_3(capsys, monkeypatch):
+    # 30 crossing chords exit 3 from the parsed diagram: no vertex is
+    # resolved and no chord subset is visited
+    from vassiliev import relations, weights
+
+    def no_expansion(d):
+        raise AssertionError("the diagram was expanded")
+
+    for module, name in ((relations, "reduce_to_chords"),
+                         (weights, "reduce_to_chords"),
+                         (weights, "_cycle_counts")):
+        monkeypatch.setattr(module, name, no_expansion)
+    text = serialize(chord_diagram([(i, i + 30) for i in range(30)]))
+    code, out, err = run_cli(capsys, "weight", "--diagram", text,
+                             "--rank", "3")
+    assert code == 3 and not out
+    assert err.strip() == ("error: degree 30 + 0 vertices = 30 exceeds "
+                           f"the weight budget of {WEIGHT_BUDGET}")
+    monkeypatch.undo()
+    # the budget is inclusive: five two-leg thetas, degree 10 with 10
+    # vertices, are evaluated
+    theta = connected_diagrams(2, 2)[0]
+    at_limit = product_all([theta] * (WEIGHT_BUDGET // 4))
+    assert at_limit.degree + at_limit.vertices == WEIGHT_BUDGET
+    code, out, _ = run_cli(capsys, "weight", "--diagram",
+                           serialize(at_limit), "--rank", "3")
+    assert code == 0 and "value: -1024" in out
+
+
+def _mutated(rng, text, alphabet):
+    """text with one to three random edits: a deletion, an insertion or a
+    replacement from `alphabet`, or a duplicated span."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.randrange(4)
+        if op == 0:
+            text = text[:i] + text[i + 1:]
+        elif op == 1:
+            text = text[:i] + rng.choice(alphabet) + text[i:]
+        elif op == 2:
+            text = text[:i] + rng.choice(alphabet) + text[i + 1:]
+        else:
+            j = rng.randrange(i, len(text) + 1)
+            text = text[:j] + text[i:j] + text[j:]
+    return text
+
+
+def test_fuzzed_diagram_text_and_braid_words(capsys):
+    # mutated inputs exit 0, 2 or 3 and raise nothing; `--flag=value`
+    # keeps a leading '-' from reading as an option
+    rng = random.Random(5)
+    diagrams = [serialize(random_diagram(rng, rng.randint(1, 4)))
+                for _ in range(20)]
+    braids = ["2:1,1,1", "3:1,-2,1,-2", "4:1,2,3,-1,2", "2:", "5:1,3",
+              "3:1 2 1 2", "1,-2,1"]
+    codes = set()
+    for _ in range(250):
+        text = _mutated(rng, rng.choice(diagrams), "0123456789VLT=.- ")
+        codes.add(main(["weight", f"--diagram={text}", "--rank", "3"]))
+        word = _mutated(rng, rng.choice(braids), "0123456789-,: ")
+        codes.add(main(["jones", f"--braid={word}"]))
+    capsys.readouterr()
+    assert codes <= {0, 2, 3} and {0, 2} <= codes, codes
 
 
 def _json_leaves(value):

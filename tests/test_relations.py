@@ -1,15 +1,18 @@
 import functools
+import hashlib
 import random
 
 import pytest
 
 from vassiliev import relations
+from vassiliev.basis import _leg_swap
 from vassiliev.diagrams import (
     Diagram,
     DiagramSum,
     canonicalize,
     chord_diagram,
     chord_diagrams,
+    connected_diagrams,
     decompose,
     one_vertex_diagrams,
     product,
@@ -101,6 +104,31 @@ def test_ihx_errors():
         ihx(TRIPOD, (0, 3))  # touches the circle
     with pytest.raises(ValueError):
         ihx(TRIPOD, (4, 5))  # not an edge
+
+
+def test_surgery_outputs_pinned():
+    # sha256 of the terms every surgery gave before the surgeries shared
+    # one index map: STU at every vertex and leg, IHX at every internal
+    # edge, components, products, adjacent leg swaps, and the framed
+    # residuals, which drop chords
+    rng = random.Random(29)
+    inputs = [random_diagram(rng, rng.randint(1, 5)) for _ in range(120)]
+    inputs += one_vertex_diagrams(4) + connected_diagrams(4, 4)
+    lines = []
+    for d, other in zip(inputs, inputs[1:] + inputs[:1]):
+        L = d.legs
+        for a, b in enumerate(d.partner[:L]):
+            if b >= L:
+                lines.append(str(stu(d, (b - L) // 3, a)))
+        lines += [str(ihx(d, e)) for e in internal_edges(d)]
+        lines += [f"{serialize(c.diagram)} {c.leg_positions}"
+                  for c in decompose(d).components]
+        lines.append(serialize(product(d, other)))
+        lines += [serialize(_leg_swap(d, p, (p + 1) % L)) for p in range(L)]
+    for d in chord_diagrams(5):
+        lines.append(str(sorted(quotient_space(5, False).residual(d).items())))
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "12bf111abc9677e6"
 
 
 def test_reduce_chord_input_identity():
