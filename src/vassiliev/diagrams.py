@@ -12,9 +12,12 @@ slot s of internal vertex v is L + 3*v + s.  The stored slot order
 the diagram's sign (antisymmetry of the internal vertices).  A Diagram
 stores only `partner`, the tuple whose entry x is the half-edge joined
 to x; `edges`, the pairs (a, b) with a < b in order of a, is derived
-from it.  Every surgery (STU, IHX, leg swaps, chord drops, components
-and products) moves half-edges through one index map, `_moved`, and
-builds its result as a new Diagram from the moved edges.
+from it.  IHX, leg swaps, chord drops, components and products move
+half-edges through one index map, `_moved`, and build their result as
+a new Diagram from the moved edges; STU's kernel
+(`relations._resolved`) moves partner tuples the same way.  That every
+dashed component reaches the circle is checked by one stack walk over
+`partner` (`_components`).
 
 Canonical forms quotient by circle rotation, vertex relabelling and
 cyclic slot rotation; orientation reversals are tracked as signs.  The
@@ -28,6 +31,13 @@ where it is first read, so the orientation vectors share every prefix
 before they differ, and a branch stops at its first token above the
 least code so far.  A chord diagram (T = 0) has one branch and sign +1.
 
+`_CANON_CACHE` is keyed by `(legs, vertices, partner)`, so a partner
+tuple is looked up without building a Diagram.  Each class has one
+canonical Diagram object: it is built and validated at the class's
+first use, by an enumeration or a canonicalization, and cached as its
+own form (sign +1, or 0 for a class of sign 0); every later input of
+the class maps to that object.
+
 Every enumeration (chord, one-vertex and connected diagrams) generates
 partner lists, collects their `_least_code` codes and builds one
 Diagram per class (`_classes`); no Diagram is built per source.  Chord
@@ -37,7 +47,8 @@ classes and 2,349 give the 1,575 one-vertex classes, the 4T sources.
 A connected diagram's vertices are numbered by their first legs around
 the circle (legless vertices last, in breadth-first order), and its
 edges are then one labelled multigraph on the remaining degrees: no
-multigraph isomorphism is tested.
+multigraph isomorphism is tested.  The breadth-first order is checked
+at each vertex's last pair, inside the multigraph recursion.
 """
 
 from __future__ import annotations
@@ -51,23 +62,39 @@ from fractions import Fraction
 from .laurent import SparsePoly
 
 
-def _dashed_roots(legs: int, vertices: int, edges) -> list[int]:
-    """Union-find root of every node of the dashed graph: legs are nodes
-    0..L-1 and internal vertex v is node L + v."""
-    parent = list(range(legs + vertices))
+def _components(legs: int, partner) -> list[int]:
+    """Component number of every half-edge of the dashed graph, by one
+    stack walk over `partner` (an edge joins its two ends, a vertex its
+    three slots) from each half-edge not yet reached, in order.  So the
+    components with legs come first, in the order of their first legs."""
+    comp = [-1] * len(partner)
+    count = 0
+    for start in range(len(partner)):
+        if comp[start] >= 0:
+            continue
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            if comp[x] >= 0:
+                continue
+            if x >= legs:
+                x -= (x - legs) % 3
+            for y in (x,) if x < legs else (x, x + 1, x + 2):
+                comp[y] = count
+                if comp[partner[y]] < 0:
+                    stack.append(partner[y])
+        count += 1
+    return comp
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for a, b in edges:
-        ra = find(a if a < legs else legs + (a - legs) // 3)
-        rb = find(b if b < legs else legs + (b - legs) // 3)
-        if ra != rb:
-            parent[ra] = rb
-    return [find(x) for x in range(legs + vertices)]
+def _has_tadpole(L: int, partner) -> bool:
+    return any(p >= L and (p - L) // 3 == (x - L) // 3
+               for x, p in enumerate(partner[L:], L))
+
+
+def _pairs(partner) -> list[tuple[int, int]]:
+    """The edges of a partner list as pairs (a, b), a < b, in order of a."""
+    return [(a, b) for a, b in enumerate(partner) if a < b]
 
 
 def _moved(d: Diagram, image) -> list[tuple[int, int]]:
@@ -112,16 +139,17 @@ class Diagram:
         self.partner = partner = tuple(partner)
         self._hash = hash((L, T, partner))
         if T:
-            # every dashed component must contain at least one leg
-            roots = _dashed_roots(L, T, enumerate(partner))
-            if not set(roots[L:]) <= set(roots[:L]):
+            # every dashed component must contain at least one leg; the
+            # last-numbered one does only if all do
+            comp = _components(L, partner)
+            if max(comp) not in comp[:L]:
                 raise ValueError(
                     "dashed component disconnected from the circle")
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """The edges as pairs (a, b), a < b, in order of a."""
-        return tuple((a, b) for a, b in enumerate(self.partner) if a < b)
+        return tuple(_pairs(self.partner))
 
     @property
     def degree(self) -> int:
@@ -129,9 +157,7 @@ class Diagram:
 
     def has_tadpole(self) -> bool:
         """True if some edge joins two half-edges of the same vertex."""
-        L, p = self.legs, self.partner
-        return any(p[x] >= L and (p[x] - L) // 3 == (x - L) // 3
-                   for x in range(L, len(p)))
+        return _has_tadpole(self.legs, self.partner)
 
     def __eq__(self, other):
         return (isinstance(other, Diagram)
@@ -171,25 +197,40 @@ def degree(d: Diagram) -> int:
 # canonical labelling
 
 
-_CANON_CACHE: dict[Diagram, tuple[SignedDiagram, tuple]] = {}
+_CANON_CACHE: dict[tuple, tuple[SignedDiagram, tuple]] = {}
 
 
-def _canonicalize_full(d: Diagram) -> tuple[SignedDiagram, tuple]:
-    cached = _CANON_CACHE.get(d)
-    if cached is not None:
-        return cached
-    L, T = d.legs, d.vertices
-    best, sign = _least_code(L, T, d.partner)
-    if d.has_tadpole():
-        sign = 0
-    canon = _rebuild(L, T, best)
-    result = (SignedDiagram(canon, sign), (T, L) + best)
-    _CANON_CACHE[d] = result
-    # the canonical representative canonicalizes to itself with sign +1
-    if canon != d:
-        _CANON_CACHE.setdefault(
-            canon, (SignedDiagram(canon, 0 if sign == 0 else 1), (T, L) + best))
-    return result
+def _canonical(L: int, T: int, partner: tuple) -> tuple[SignedDiagram, tuple]:
+    """Canonical form and key of the diagram with this partner tuple,
+    through `_CANON_CACHE`; no Diagram is built unless the class is new."""
+    key = (L, T, partner)
+    cached = _CANON_CACHE.get(key)
+    if cached is None:
+        code, sign = _least_code(L, T, partner)
+        if _has_tadpole(L, partner):
+            sign = 0
+        cached = own = _own_form(L, T, code, sign)
+        if sign != own[0].sign:
+            cached = (SignedDiagram(own[0].diagram, sign), own[1])
+        _CANON_CACHE[key] = cached
+    return cached
+
+
+def _own_form(L: int, T: int, code: tuple, sign: int) -> tuple[SignedDiagram, tuple]:
+    """The cache entry of the class with this least code: its canonical
+    Diagram (built and validated on the class's first use, then reused)
+    with sign 1, or 0 for a class of sign 0."""
+    partner = [0] * (L + 3 * T)
+    sources = itertools.chain(range(L), *(
+        (L + 3 * v + 1, L + 3 * v + 2) for v in range(T)))
+    for s, t in zip(sources, code):
+        partner[s], partner[t] = t, s
+    own = _CANON_CACHE.get((L, T, tuple(partner)))
+    if own is None:
+        d = Diagram(L, T, _pairs(partner))
+        own = (SignedDiagram(d, 1 if sign else 0), (T, L) + code)
+        _CANON_CACHE[(L, T, d.partner)] = own
+    return own
 
 
 def _least_code(L: int, T: int, partner: list | tuple) -> tuple[tuple, int]:
@@ -279,14 +320,6 @@ def _least_code(L: int, T: int, partner: list | tuple) -> tuple[tuple, int]:
     return best, 0 if len(signs) == 2 else signs.pop()
 
 
-def _rebuild(L: int, T: int, tokens) -> Diagram:
-    sources = list(range(L))
-    for v in range(T):
-        sources.extend((L + 3 * v + 1, L + 3 * v + 2))
-    edges = {(s, t) if s < t else (t, s) for s, t in zip(sources, tokens)}
-    return Diagram(L, T, edges)
-
-
 def canonicalize(d: Diagram) -> SignedDiagram:
     """Canonical representative of a diagram with its antisymmetry sign.
 
@@ -295,12 +328,12 @@ def canonicalize(d: Diagram) -> SignedDiagram:
     cyclic order was reversed contributes a factor -1.  The sign is 0
     exactly when the value must vanish by antisymmetry.
     """
-    return _canonicalize_full(d)[0]
+    return _canonical(d.legs, d.vertices, d.partner)[0]
 
 
 def canonical_key(d: Diagram) -> tuple:
     """Total order key on isomorphism classes: (T, L, traversal code)."""
-    return _canonicalize_full(d)[1]
+    return _canonical(d.legs, d.vertices, d.partner)[1]
 
 
 # --------------------------------------------------------------------------
@@ -335,9 +368,11 @@ class DiagramSum(SparsePoly):
         return self.coeffs
 
     def add(self, d: Diagram, coeff) -> None:
-        if not coeff:
-            return
-        sd = canonicalize(d)
+        if coeff:
+            self._add_signed(canonicalize(d), coeff)
+
+    def _add_signed(self, sd: SignedDiagram, coeff) -> None:
+        """Add coeff times a canonical form with its sign."""
         if sd.sign == 0:
             return
         key = sd.diagram
@@ -359,10 +394,6 @@ class DiagramSum(SparsePoly):
 
     def items(self):
         return sorted(self.coeffs.items(), key=lambda kv: canonical_key(kv[0]))
-
-    def map_terms(self, fn: "callable") -> "DiagramSum":
-        """Apply fn(diagram) -> DiagramSum linearly."""
-        return sum((fn(d) * c for d, c in self.coeffs.items()), DiagramSum())
 
     def __repr__(self):
         if not self.coeffs:
@@ -405,15 +436,13 @@ def decompose(d: Diagram) -> DecompositionReport:
     that no arc of the circle contains all legs of one of them.
     """
     L = d.legs
-    roots = _dashed_roots(L, d.vertices, enumerate(d.partner))
-    root_of = [roots[x if x < L else L + (x - L) // 3]
-               for x in range(len(d.partner))]
+    comp = _components(L, d.partner)
     components = []
-    # every component has a leg: in the order of their first legs
-    for root in dict.fromkeys(roots[:L]):
+    # every component has a leg: numbered in the order of their first legs
+    for c in range(max(comp, default=-1) + 1):
         # a component's half-edges, in order, are its new numbering
-        mine = [x for x, r in enumerate(root_of) if r == root]
-        image = [-1] * len(root_of)
+        mine = [x for x, k in enumerate(comp) if k == c]
+        image = [-1] * len(comp)
         for i, x in enumerate(mine):
             image[x] = i
         legs = tuple(x for x in mine if x < L)
@@ -533,9 +562,10 @@ def _classes(L: int, T: int, partner_lists) -> list[Diagram]:
     by code; classes of sign 0 are dropped.
 
     Each list costs one `_least_code` call and builds no Diagram; only
-    the classes are rebuilt (and validated), and each seeds
-    `_CANON_CACHE` as its own canonical form with sign +1.  Callers pass
-    tadpole-free lists only, so the tadpole rule of `_canonicalize_full`
+    the classes are built (and validated), through `_own_form`, so a
+    class already in `_CANON_CACHE` keeps its object, and each seeds
+    the cache as its own canonical form with sign +1.  Callers pass
+    tadpole-free lists only, so the tadpole rule of `_canonical`
     never applies and the code's sign is the class's sign.
     """
     codes = set()
@@ -543,12 +573,7 @@ def _classes(L: int, T: int, partner_lists) -> list[Diagram]:
         code, sign = _least_code(L, T, partner)
         if sign:
             codes.add(code)
-    out = []
-    for code in sorted(codes):
-        d = _rebuild(L, T, code)
-        _CANON_CACHE.setdefault(d, (SignedDiagram(d, 1), (T, L) + code))
-        out.append(d)
-    return out
+    return [_own_form(L, T, code, 1)[0].diagram for code in sorted(codes)]
 
 
 def _least_first(L: int, T: int):
@@ -637,53 +662,53 @@ def _leg_sequences(L: int, T: int):
     yield from rec(0)
 
 
-def _breadth_first(first: int, T: int, edges) -> bool:
-    """True if a breadth-first search from vertices 0..first-1, scanning
-    neighbours in increasing number, finds the others in the order
-    first, first + 1, ..., T - 1."""
-    nbrs = [set() for _ in range(T)]
-    for a, b in edges:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    found = first
-    for u in range(T):  # while the order holds, the queue is 0..T-1
-        for w in sorted(nbrs[u]):
-            if w == found:
-                found += 1
-            elif w > found:
-                return False
-    return True
+def _breadth_first_step(u: int, found: int, edges) -> int:
+    """Vertex u's step of a breadth-first search from the vertices with
+    legs, scanning neighbours in increasing number, that must find the
+    others in the order of their numbers: the count of vertices found
+    after the step, or -1 if u finds one out of order or was not found
+    itself (then the search never reaches it, and the graph is not
+    connected)."""
+    if u >= found:
+        return -1
+    for w in sorted({a + b - u for a, b in edges if u in (a, b)}):
+        if w == found:
+            found += 1
+        elif w > found:
+            return -1
+    return found
 
 
 def _completions(free: list[int]):
-    """Every labelled, connected, loopless multigraph on vertices
-    0..T-1 in which vertex v has degree free[v], as an edge list; the
-    vertices of degree 3 come last, in breadth-first order from the
-    others (`_breadth_first`)."""
+    """Every labelled, loopless multigraph on vertices 0..T-1 in which
+    vertex v has degree free[v], as an edge list, whose vertices of
+    degree 3 come last, in breadth-first order from the others
+    (`_breadth_first_step`).  A vertex's step is checked as soon as its
+    last pair is placed, which prunes the whole subtree."""
     T = len(free)
-    first = T - free.count(3)
     pairs = list(itertools.combinations(range(T), 2))
     left = free[:]
 
-    def rec(idx: int, edges: list):
+    def rec(idx: int, edges: list, found: int):
         if idx == len(pairs):
-            # vertex v is node v of the leg-free dashed graph (slot 3v)
-            if not any(left) and _breadth_first(first, T, edges) and len(
-                    set(_dashed_roots(
-                        0, T, [(3 * a, 3 * b) for a, b in edges]))) == 1:
+            if not any(left) and _breadth_first_step(T - 1, found, edges) >= 0:
                 yield edges
             return
         a, b = pairs[idx]
         # (a, T - 1) is the last pair of a: it must fill a's degree
-        low = left[a] if b == T - 1 else 0
-        for mult in range(min(left[a], left[b]), low - 1, -1):
+        last = b == T - 1
+        for mult in range(min(left[a], left[b]), left[a] - 1 if last else -1,
+                          -1):
             left[a] -= mult
             left[b] -= mult
-            yield from rec(idx + 1, edges + [(a, b)] * mult)
+            grown = edges + [(a, b)] * mult
+            now = _breadth_first_step(a, found, grown) if last else found
+            if now >= 0:
+                yield from rec(idx + 1, grown, now)
             left[a] += mult
             left[b] += mult
 
-    yield from rec(0, [])
+    yield from rec(0, [], T - free.count(3))
 
 
 def _leg_placements(L: int, T: int):
@@ -708,7 +733,8 @@ def _leg_placements(L: int, T: int):
                 partner[end[a]], partner[end[b]] = end[b], end[a]
                 end[a] += 1
                 end[b] += 1
-            yield partner
+            if max(_components(L, partner)) == 0:  # one component
+                yield partner
 
 
 def connected_diagrams(n: int, T: int) -> list[Diagram]:

@@ -7,6 +7,13 @@ chord-level shadow of STU -- are generated mechanically as differences
 of the leg resolutions of one-vertex diagrams.  The reduced quotient
 additionally kills every diagram with an isolated chord.
 
+One STU kernel, `_resolved`, maps a partner tuple to the partner tuples
+of its two terms.  `stu` builds validated Diagrams from them; the 4T
+rows and `reduce_to_chords` build none, and canonicalize only the chord
+diagrams they end in.  The class of a diagram modulo 4T does not depend
+on the order of the STU steps (Bar-Natan, Topology 34, 1995), so
+`reduce_to_chords` expands in the order its terms come.
+
 The reduced quotient is represented by an exact sparse row reduction of
 the relation rows; membership, dimensions and coordinates all run over
 exact rationals.  The framed quotient (4T alone) is A[theta], theta the
@@ -23,7 +30,9 @@ from fractions import Fraction
 from .diagrams import (
     Diagram,
     DiagramSum,
+    _canonical,
     _moved,
+    _pairs,
     canonicalize,
     chord_diagrams,
     has_isolated_chord,
@@ -62,20 +71,34 @@ def stu(d: Diagram, v: int, leg: int | None = None) -> DiagramSum:
     elif leg not in legs_of_v:
         raise ValueError(f"vertex {v} has no edge to leg {leg}")
 
-    L, T = d.legs, d.vertices
-    base = L + 3 * v
-    s_line = d.partner[leg] - base
+    out = DiagramSum()
+    for coeff, p in zip((1, -1), _resolved(d.legs, d.vertices, d.partner, leg)):
+        out.add(Diagram(d.legs + 1, d.vertices - 1, _pairs(p)), coeff)
+    return out
+
+
+def _resolved(L: int, T: int, partner: tuple, leg: int) -> list[tuple]:
+    """The partner tuples of STU's two terms at `leg`, whose edge ends on
+    a vertex v: coefficients +1 and -1, in that order.
+
+    Legs after `leg` move up one and vertices after v down one; the leg
+    edge and v's slots map to -1, and v's other two ends a, b move to
+    the new adjacent legs leg and leg + 1, in one order per term.  Entry
+    i of a term is the moved partner of the half-edge that lands on i.
+    """
+    base = L + 3 * ((partner[leg] - L) // 3)
+    s_line = partner[leg] - base
     a, b = base + (s_line + 1) % 3, base + (s_line + 2) % 3
-    # legs after `leg` move up one, vertices after v down one; the leg
-    # edge and v's slots map to -1 until a term places v's other two
     image = (list(range(leg)) + [-1] + list(range(leg + 2, L + 1))
              + list(range(L + 1, base + 1)) + [-1] * 3
              + list(range(base + 1, L + 3 * T - 2)))
-    out = DiagramSum()
-    for coeff, a_pos, b_pos in ((1, leg, leg + 1), (-1, leg + 1, leg)):
-        image[a], image[b] = a_pos, b_pos
-        out.add(Diagram(L + 1, T - 1, _moved(d, image)), coeff)
-    return out
+    terms = []
+    for x, y in ((a, b), (b, a)):  # the ends that land on leg, leg + 1
+        image[x], image[y] = leg, leg + 1
+        moved = [image[z] for z in partner]
+        terms.append(tuple(moved[:leg] + [moved[x], moved[y]]
+                           + moved[leg + 1:base] + moved[base + 3:]))
+    return terms
 
 
 # --------------------------------------------------------------------------
@@ -136,40 +159,49 @@ def ihx(d: Diagram, edge: tuple[int, int]) -> DiagramSum:
 # reduction to chord diagrams
 
 
-def _first_resolvable(d: Diagram) -> tuple[int, int] | None:
-    """Smallest leg whose edge ends on a vertex, with that vertex."""
-    L, partner = d.legs, d.partner
-    return next(((a, (partner[a] - L) // 3) for a in range(L)
-                 if partner[a] >= L), None)
-
-
 def reduce_to_chords(d: Diagram) -> DiagramSum:
     """Express a diagram as chord diagrams by eliminating all vertices.
 
-    Resolves, at each step, the smallest circle position attached to an
-    internal vertex.  The result is well defined modulo the degree's 4T
-    relations regardless of elimination order.
+    The input is canonicalized once, and the expansion of each canonical
+    input is memoized.  The expansion runs depth first on partner
+    tuples: each term resolves the smallest leg on a vertex of the term
+    as produced, so no intermediate term is canonicalized, and only the
+    chord leaves are looked up in the canonical cache.  The sum depends
+    on that order; it is well defined modulo the degree's 4T relations,
+    which is all the quotient, weights and coordinates read.
     """
     sd = canonicalize(d)
     if sd.sign == 0:
         return DiagramSum()
-    return _reduce(sd.diagram) * sd.sign
-
-
-def _reduce(d: Diagram) -> DiagramSum:
-    """A chord diagram is its own reduction; it is not cached."""
-    if d.vertices == 0:
-        return DiagramSum([(d, 1)])
-    return _reduce_canonical(d)
+    if not sd.diagram.vertices:
+        return DiagramSum([(sd.diagram, sd.sign)])
+    return _reduce_canonical(sd.diagram) * sd.sign
 
 
 @functools.cache
 def _reduce_canonical(d: Diagram) -> DiagramSum:
-    pick = _first_resolvable(d)
-    if pick is None:
-        raise ValueError("no vertex adjacent to the circle")
-    leg, v = pick
-    return stu(d, v, leg).map_terms(_reduce)
+    L, T = d.legs, d.vertices
+    leaves: dict[tuple, int] = {}
+    stack = [(T, d.partner, 1)]
+    while stack:
+        t, p, c = stack.pop()
+        if not t:
+            leaves[p] = leaves.get(p, 0) + c
+            continue
+        legs = L + T - t  # each resolution adds a leg and drops a vertex
+        leg = next(a for a in range(legs) if p[a] >= legs)
+        for coeff, q in zip((1, -1), _resolved(legs, t, p, leg)):
+            stack.append((t - 1, q, c * coeff))
+    return _chord_sum(L + T, leaves.items())
+
+
+def _chord_sum(L: int, terms) -> DiagramSum:
+    """The sum of (partner tuple, coefficient) chord terms on L legs,
+    each canonicalized through the cache without building a Diagram."""
+    out = DiagramSum()
+    for p, c in terms:
+        out._add_signed(_canonical(L, 0, p)[0], c)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -191,8 +223,10 @@ def four_t_relations(degree: int) -> RelationSet:
     nothing is hand-coded)."""
     rels = []
     for src in one_vertex_diagrams(degree):
-        legs = _leg_partners(src, 0)
-        resolutions = [stu(src, 0, leg) for leg in legs]
+        L = src.legs
+        resolutions = [
+            _chord_sum(L + 1, zip(_resolved(L, 1, src.partner, leg), (1, -1)))
+            for leg in _leg_partners(src, 0)]
         for other in resolutions[1:]:
             diff = resolutions[0] - other
             if diff:

@@ -64,6 +64,83 @@ def test_malformed_diagrams_rejected():
         Diagram(3, 3, [(0, 3), (1, 4), (2, 5), (6, 9), (7, 10), (8, 11)])
 
 
+def _union_find_check(L, T, edges):
+    """The constructor's checks in their order, with a union-find for
+    the circle-reach check: the first error message, or None."""
+    if L < 0 or T < 0:
+        return "negative leg or vertex count"
+    n = L + 3 * T
+    if n % 2:
+        return "odd number of half-edges cannot be matched"
+    if len(edges) != n // 2:
+        return f"expected {n // 2} edges, got {len(edges)}"
+    partner = [-1] * n
+    for a, b in edges:
+        if a == b:
+            return "edge endpoints must be distinct half-edges"
+        for x in (a, b) if a < b else (b, a):
+            if not 0 <= x < n:
+                return f"endpoint {x} out of range"
+            if partner[x] >= 0:
+                return f"endpoint {x} used twice"
+        partner[a], partner[b] = b, a
+    parent = list(range(L + T))  # leg a is node a, vertex v node L + v
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in enumerate(partner):
+        ra = find(a if a < L else L + (a - L) // 3)
+        rb = find(b if b < L else L + (b - L) // 3)
+        if ra != rb:
+            parent[ra] = rb
+    roots = [find(x) for x in range(L + T)]
+    if not set(roots[L:]) <= set(roots[:L]):
+        return "dashed component disconnected from the circle"
+    return None
+
+
+def test_constructor_matches_union_find_checks():
+    # seeded matchings and malformed edge lists up to six vertices: the
+    # stack walk accepts and rejects as the union-find did, with the
+    # same message
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(3000):
+        T = rng.randint(0, 6)
+        L = 2 * rng.randint(0, 4) + T % 2  # an even half-edge count
+        ends = list(range(L + 3 * T))
+        rng.shuffle(ends)
+        edges = list(zip(ends[::2], ends[1::2]))
+        flaw = rng.randrange(8)
+        if flaw == 0:
+            L, T = rng.choice([(-L - 1, T), (L, -1), (L + 1, T)])
+        elif flaw == 1 and edges:
+            edges.pop()
+        elif flaw == 2 and edges:
+            edges.append(edges[0])
+        elif flaw == 3 and edges:
+            edges[0] = (edges[0][0], edges[0][0])
+        elif flaw == 4 and edges:
+            edges[-1] = (edges[-1][0], rng.choice([-1, len(ends)]))
+        elif flaw == 5 and len(edges) > 1:
+            edges[1] = (edges[1][0], edges[0][1])
+        expected = _union_find_check(L, T, edges)
+        try:
+            Diagram(L, T, edges)
+            message = None
+        except ValueError as err:
+            message = str(err)
+        assert message == expected, (L, T, edges)
+        seen.add(expected)
+    assert None in seen
+    assert "dashed component disconnected from the circle" in seen
+    assert len(seen) >= 8
+
+
 def test_partner_is_the_stored_form():
     # edges read back to the same diagram, and partner is an involution
     # with no fixed point on every half-edge (connected diagrams up to
@@ -316,6 +393,18 @@ def _relabelled(rng, d):
 
     return (Diagram(L, T, [(remap(a), remap(b)) for a, b in d.edges]),
             sum(flip))
+
+
+def test_canonicalize_returns_the_enumerated_object():
+    # one object per class: a relabelled class canonicalizes to the very
+    # object its enumeration returned
+    rng = random.Random(37)
+    classes = chord_diagrams(4) + one_vertex_diagrams(4) + [
+        d for T in range(3, 7) for d in connected_diagrams(4, T)]
+    for d in classes:
+        for _ in range(3):
+            assert canonicalize(_relabelled(rng, d)[0]).diagram is d, \
+                serialize(d)
 
 
 def test_canonicalize_relabel_sign_law():

@@ -19,6 +19,7 @@ from vassiliev.diagrams import (
     random_diagram,
     serialize,
 )
+from vassiliev.laurent import Laurent1
 from vassiliev.linalg import SparseEliminator
 from vassiliev.relations import (
     dimension,
@@ -29,6 +30,7 @@ from vassiliev.relations import (
     reduce_to_chords,
     stu,
 )
+from vassiliev.weights import weight_sun, weight_sun_deframed
 
 TRIPOD = Diagram(3, 1, [(0, 3), (1, 4), (2, 5)])
 CROSS = chord_diagram([(0, 2), (1, 3)])
@@ -168,6 +170,104 @@ def _reduce_alternative(d):
     for d2, c in rec(sd.diagram).terms.items():
         out.add(d2, sd.sign * c)
     return out
+
+
+@functools.cache
+def _reference_canonical(d):
+    """The canonical-order recursion: STU at the smallest leg on a
+    vertex, then each canonical term reduced and memoized in turn."""
+    leg = next(a for a in range(d.legs) if d.partner[a] >= d.legs)
+    out = DiagramSum()
+    for t, c in stu(d, (d.partner[leg] - d.legs) // 3, leg).terms.items():
+        out = out + (DiagramSum([(t, c)]) if not t.vertices
+                     else _reference_canonical(t) * c)
+    return out
+
+
+def _reference_reduce(d):
+    """reduce_to_chords as the canonical-order recursion."""
+    sd = canonicalize(d)
+    if sd.sign == 0:
+        return DiagramSum()
+    if not sd.diagram.vertices:
+        return DiagramSum([(sd.diagram, sd.sign)])
+    return _reference_canonical(sd.diagram) * sd.sign
+
+
+def _with_vertices(rng, n, T):
+    """Seeded degree-n diagram with exactly T vertices."""
+    L = 2 * n - T
+    while True:
+        ends = list(range(L + 3 * T))
+        rng.shuffle(ends)
+        try:
+            return Diagram(L, T, zip(ends[::2], ends[1::2]))
+        except ValueError:
+            continue  # a dashed component misses the circle
+
+
+def _assert_reduction_matches_reference(space, d):
+    assert space.residual(reduce_to_chords(d)) == \
+        space.residual(_reference_reduce(d)), serialize(d)
+
+
+def test_reduce_matches_canonical_order_recursion():
+    # the depth-first expansion on partner tuples against the recursion
+    # that canonicalizes every term, in every (degree, T) cell of
+    # degrees 2..6: reduced and framed residuals, and the su(N) weights,
+    # which are linear in the chord diagrams
+    rng = random.Random(32)
+    for n in range(2, 7):
+        reduced, framed = quotient_space(n), quotient_space(n, False)
+        for T in range(2 * n - 1):
+            for _ in range(3):
+                d = _with_vertices(rng, n, T)
+                _assert_reduction_matches_reference(reduced, d)
+                _assert_reduction_matches_reference(framed, d)
+                ref = _reference_reduce(d).terms.items()
+                for weight in (weight_sun, weight_sun_deframed):
+                    assert weight(d) == sum(
+                        (weight(c) * k for c, k in ref),
+                        Laurent1.zero("N")), serialize(d)
+
+
+def _reference_stu(d, leg):
+    """STU's two terms at `leg` as validated Diagrams, from the index
+    image over the edge list: legs after `leg` move up one, vertices
+    after v down one, and v's other two ends land on leg, leg + 1."""
+    L, T = d.legs, d.vertices
+    base = L + 3 * ((d.partner[leg] - L) // 3)
+    s = d.partner[leg] - base
+    a, b = base + (s + 1) % 3, base + (s + 2) % 3
+    image = (list(range(leg)) + [-1] + list(range(leg + 2, L + 1))
+             + list(range(L + 1, base + 1)) + [-1] * 3
+             + list(range(base + 1, L + 3 * T - 2)))
+    out = []
+    for a_pos, b_pos in ((leg, leg + 1), (leg + 1, leg)):
+        image[a], image[b] = a_pos, b_pos
+        out.append(Diagram(L + 1, T - 1, [(image[x], image[y])
+                                          for x, y in d.edges if x != leg]))
+    return out
+
+
+def test_resolved_matches_validated_stu():
+    rng = random.Random(33)
+    inputs = [random_diagram(rng, rng.randint(2, 6), require_nonzero=False)
+              for _ in range(150)] + one_vertex_diagrams(5)
+    resolutions = 0
+    for d in inputs:
+        L = d.legs
+        for leg in range(L):
+            if d.partner[leg] < L:
+                continue
+            terms = _reference_stu(d, leg)
+            assert relations._resolved(L, d.vertices, d.partner, leg) == \
+                [t.partner for t in terms], serialize(d)
+            v = (d.partner[leg] - L) // 3
+            assert stu(d, v, leg) == DiagramSum([(terms[0], 1),
+                                                 (terms[1], -1)])
+            resolutions += 1
+    assert resolutions > 500
 
 
 def test_reduce_order_independent_mod_relations():
