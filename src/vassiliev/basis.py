@@ -158,9 +158,6 @@ def canonical_basis(max_degree: int) -> CanonicalBasis:
         if i == 0:
             by_degree[0] = [BasisElement(0, 0, EMPTY, ())]
             continue
-        if i == 1:
-            by_degree[1] = []  # no framing-independent structures
-            continue
         space = quotient_space(i, True)
         target = space.dimension
         elim = SparseEliminator()
@@ -184,7 +181,7 @@ def canonical_basis(max_degree: int) -> CanonicalBasis:
 
         picks: list[Diagram] = []
         quota = target - len(composites)
-        T = max(1, i - 1)
+        T = i - 1
         while len(picks) < quota and T <= 2 * i - 2:
             for cand in connected_diagrams(i, T):
                 if elim.add_row(space.residual(cand)):
@@ -507,20 +504,23 @@ def load_basis(path: str) -> CanonicalBasis:
 
     by_degree: dict[int, list[BasisElement]] = {}
     max_degree = 0
-    for ln in body_lines:
-        if ln.startswith("max-degree:"):
-            max_degree = int(ln.split(":")[1])
-            for i in range(max_degree + 1):
-                by_degree.setdefault(i, [])
-        elif ln.startswith("element"):
-            head, kind, comps, diag = _split_element(ln)
-            _, deg_s, idx_s = head.split()
-            deg, eidx = int(deg_s), int(idx_s)
-            components = tuple(
-                tuple(map(int, c.split("."))) for c in comps.split()) \
-                if comps else ()
-            by_degree[deg].append(
-                BasisElement(deg, eidx, parse(diag), components))
+    try:
+        for ln in body_lines:
+            if ln.startswith("max-degree:"):
+                max_degree = int(ln.split(":")[1])
+                for i in range(max_degree + 1):
+                    by_degree.setdefault(i, [])
+            elif ln.startswith("element"):
+                head, kind, comps, diag = _split_element(ln)
+                _, deg_s, idx_s = head.split()
+                deg, eidx = int(deg_s), int(idx_s)
+                components = tuple(
+                    tuple(map(int, c.split("."))) for c in comps.split()) \
+                    if comps else ()
+                by_degree[deg].append(
+                    BasisElement(deg, eidx, parse(diag), components))
+    except (ValueError, KeyError) as exc:  # KeyError: a degree above max
+        raise ValueError(f"{path}: malformed line {ln!r}") from exc
     # fills the STU-expansion cache that weights and coordinates read
     for elems in by_degree.values():
         for e in elems:
@@ -546,7 +546,11 @@ def cached_basis(max_degree: int, cache_dir: str | None) -> CanonicalBasis:
     os.makedirs(cache_dir, exist_ok=True)
     path = basis_cache_path(cache_dir, max_degree)
     if os.path.exists(path):
-        return load_basis(path)
+        basis = load_basis(path)
+        if basis.max_degree != max_degree:
+            raise ValueError(f"{path}: holds a degree-{basis.max_degree} "
+                             f"basis, not degree {max_degree}")
+        return basis
     basis = canonical_basis(max_degree)
     save_basis(basis, path)
     return basis

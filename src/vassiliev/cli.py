@@ -5,8 +5,10 @@ identities.  Every report embeds the run configuration (conventions,
 probes, cache directory) so results are reproducible; output is
 deterministic for a fixed configuration and cache state.
 
-Exit codes: 0 success, 1 check failure, 2 usage or input error,
-3 crossing, component or weight budget exceeded.
+Exit codes: 0 success, 1 check failure, 2 usage or input error (a
+`ValueError` or `OSError` from the input), 3 crossing, component or
+weight budget exceeded.  Any other exception is a fault of the program
+and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .basis import basis_cache_path, cached_basis
@@ -56,35 +57,21 @@ SKEIN_CONVENTION = "a^-1 P+ - a P- = z P0, unknot = 1"
 WEIGHT_BUDGET = 20
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    max_degree: int
-    reduced: bool
-    normalization: str
-    algebra: str
-    skein_convention: str
-    slice_convention: str
-    probes: tuple[int, ...]
-    cache_dir: str | None
-    seed: int | None
-    format: str
-
-
-def _config(args, command: str) -> RunConfig:
-    return RunConfig(
-        command=command,
-        max_degree=args.max_degree,
-        reduced=getattr(args, "reduced", True),
-        normalization=str(DEFAULT_CONFIG.normalization),
-        algebra=DEFAULT_CONFIG.algebra,
-        skein_convention=SKEIN_CONVENTION,
-        slice_convention=SLICE_CONVENTION,
-        probes=tuple(args.probes) if getattr(args, "probes", None) else (),
-        cache_dir=args.cache_dir,
-        seed=args.seed,
-        format=args.format,
-    )
+def _config(args) -> dict:
+    """The run configuration every report embeds, under "config"."""
+    return {
+        "command": args.command,
+        "max_degree": args.max_degree,
+        "reduced": getattr(args, "reduced", True),
+        "normalization": str(DEFAULT_CONFIG.normalization),
+        "algebra": DEFAULT_CONFIG.algebra,
+        "skein_convention": SKEIN_CONVENTION,
+        "slice_convention": SLICE_CONVENTION,
+        "probes": tuple(args.probes) if getattr(args, "probes", None) else (),
+        "cache_dir": args.cache_dir,
+        "seed": args.seed,
+        "format": args.format,
+    }
 
 
 def _frac(x) -> str:
@@ -153,25 +140,23 @@ def _knot_label(args) -> str:
 
 
 def cmd_dims(args) -> int:
-    cfg = _config(args, "dims")
+    report = {"config": _config(args)}
     rows = []
     if args.reduced:
         basis = cached_basis(args.max_degree, args.cache_dir)
         for i in range(args.max_degree + 1):
             rows.append({"degree": i, "d": basis.d(i),
                          "d_hat": basis.d_hat(i)})
-        report = {"config": asdict(cfg), "basis_version": basis.version,
-                  "dimensions": rows}
+        report["basis_version"] = basis.version
     else:
         for i in range(args.max_degree + 1):
             rows.append({"degree": i, "d": dimension(i, reduced=False)})
-        report = {"config": asdict(cfg), "dimensions": rows}
+    report["dimensions"] = rows
     _emit(report, args.format)
     return 0
 
 
 def cmd_basis(args) -> int:
-    cfg = _config(args, "basis")
     basis = cached_basis(args.max_degree, args.cache_dir)
     rows = []
     for i in range(args.max_degree + 1):
@@ -181,7 +166,7 @@ def cmd_basis(args) -> int:
                 "components": " ".join(f"{a}.{b}" for a, b in e.components),
                 "diagram": serialize(e.diagram),
             })
-    report = {"config": asdict(cfg), "basis_version": basis.version,
+    report = {"config": _config(args), "basis_version": basis.version,
               "elements": rows}
     if args.cache_dir:
         report["cache_file"] = basis_cache_path(args.cache_dir,
@@ -191,7 +176,6 @@ def cmd_basis(args) -> int:
 
 
 def cmd_weight(args) -> int:
-    cfg = _config(args, "weight")
     if bool(args.diagram) == bool(args.diagram_file):
         raise ValueError("specify one of --diagram, --diagram-file")
     if args.diagram:
@@ -215,7 +199,7 @@ def cmd_weight(args) -> int:
 
     wfun = weight_sun_deframed if args.deframed else weight_sun
     wfun_at = weight_sun_deframed_at if args.deframed else weight_sun_at
-    report = {"config": asdict(cfg), "diagram": serialize(d),
+    report = {"config": _config(args), "diagram": serialize(d),
               "degree": d.degree, "deframed": bool(args.deframed)}
     if args.rank is not None:
         report["rank"] = args.rank
@@ -227,18 +211,16 @@ def cmd_weight(args) -> int:
 
 
 def cmd_jones(args) -> int:
-    cfg = _config(args, "jones")
     pd = _resolve_knot(args)
-    report = {"config": asdict(cfg), "knot": _knot_label(args),
+    report = {"config": _config(args), "knot": _knot_label(args),
               "pd": pd_to_text(pd), "jones": str(jones(pd))}
     _emit(report, args.format)
     return 0
 
 
 def cmd_homfly(args) -> int:
-    cfg = _config(args, "homfly")
     pd = _resolve_knot(args)
-    report = {"config": asdict(cfg), "knot": _knot_label(args),
+    report = {"config": _config(args), "knot": _knot_label(args),
               "pd": pd_to_text(pd), "homfly": str(homfly(pd))}
     _emit(report, args.format)
     return 0
@@ -266,10 +248,10 @@ def _extraction_report(ex, basis) -> list[dict]:
     return rows
 
 
-def _extraction_head(args, command: str, ex) -> dict:
+def _extraction_head(args, ex) -> dict:
     """The leading keys shared by the extract and verify reports."""
     return {
-        "config": asdict(_config(args, command)),
+        "config": _config(args),
         "knot": _knot_label(args),
         "basis_version": ex.basis_version,
         "weight_normalization": str(ex.weight_config.normalization),
@@ -283,7 +265,7 @@ def cmd_extract(args) -> int:
     ex = extract_alphas(pd, basis, args.max_degree, tuple(args.probes),
                         knot_name=_knot_label(args))
     report = {
-        **_extraction_head(args, "extract", ex),
+        **_extraction_head(args, ex),
         "held_out_probe": ex.held_out,
         "degrees": _extraction_report(ex, basis),
         "values": "exact-rational",
@@ -299,7 +281,7 @@ def cmd_verify(args) -> int:
                                tuple(args.probes),
                                knot_name=_knot_label(args))
     report = {
-        **_extraction_head(args, "verify", rep.extraction),
+        **_extraction_head(args, rep.extraction),
         "reconstruction_order": rep.reconstruction_order,
         "checks": {
             "composite_factors": "pass" if rep.composite_check_passed
@@ -321,13 +303,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    cfg = _config(args, "identities")
     basis = cached_basis(args.max_degree, args.cache_dir)
     ids = derive_composite_identities(basis, args.max_degree,
                                       framing=args.framing)
     rows = [{"degree": ci.degree, "identity": ci.render(),
              "coefficient": _frac(ci.coefficient)} for ci in ids]
-    report = {"config": asdict(cfg), "basis_version": basis.version,
+    report = {"config": _config(args), "basis_version": basis.version,
               "framing_extended": bool(args.framing),
               "identities": rows}
     if args.framing:
@@ -425,10 +406,8 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, RuntimeError) as exc:
-        # str() of a KeyError is the repr of its message
-        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {msg}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -19,6 +19,7 @@ the slice substitution.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -592,18 +593,14 @@ def verify_factorization(pd: PlanarDiagram, basis: CanonicalBasis,
     identities = {tuple(ci.components): ci
                   for ci in derive_composite_identities(basis, max_degree)}
 
-    k_rec = 1
-    for d in extraction.degrees:
-        if d.connected_alphas is None:
-            break
-        k_rec = d.degree
+    solved = list(itertools.takewhile(
+        lambda d: d.connected_alphas is not None, extraction.degrees))
+    k_rec = solved[-1].degree if solved else 1
 
     composite_rows = []
     comp_ok = True
     connected_values: dict[tuple[int, int], Fraction] = {}
-    for d in extraction.degrees:
-        if d.degree > k_rec or d.connected_alphas is None:
-            break
+    for d in solved:
         elems = basis.elements(d.degree)
         conn = [e for e in elems if e.connected]
         comps = [e for e in elems if e.composite]
@@ -619,26 +616,21 @@ def verify_factorization(pd: PlanarDiagram, basis: CanonicalBasis,
             if pinned != expected:
                 comp_ok = False
 
-    recon_ok = True
+    # s_0 = 1 and w_0 = 0, so exp(w) = s through x^k exactly when
+    # w = log s through x^k: one log per probe serves both checks
+    recon_ok = log_ok = True
     probes = extraction.probes
     for p, n in enumerate(probes):
-        target = extraction.series_at(n)
         exponent = [Fraction(0)] * (k_rec + 1)
-        for d in extraction.degrees:
-            if d.degree > k_rec or d.connected_alphas is None:
-                break
+        for d in solved:
             # connected elements come first in each weight row
             design = _design(basis, d.degree, probes, cfg.normalization)
             for v, w in zip(d.connected_alphas, design.weights[p]):
                 exponent[d.degree] += v * w
-        recon = seq_exp(exponent, k_rec)
-        if any(recon[i] != target[i] for i in range(k_rec + 1)):
-            recon_ok = False
-
-    log_ok = True
-    for n in extraction.probes:
         lw = log_series(extraction.series_at(n))
-        if lw[0] != 0 or lw[1] != 0:
+        if any(lw[i] != exponent[i] for i in range(k_rec + 1)):
+            recon_ok = False
+        if lw[1] != 0:
             log_ok = False
 
     rank_report = tuple(

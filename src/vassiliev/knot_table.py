@@ -56,6 +56,6 @@ def knot(name: str) -> PlanarDiagram:
     mirrored = name.endswith("!")
     rec = table().get(name[:-1] if mirrored else name)
     if rec is None:
-        raise KeyError(f"unknown knot {name!r}; available: "
-                       + ", ".join(knot_names()))
+        raise ValueError(f"unknown knot {name!r}; available: "
+                         + ", ".join(knot_names()))
     return rec.diagram.mirror() if mirrored else rec.diagram

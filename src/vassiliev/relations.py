@@ -264,7 +264,8 @@ class QuotientSpace:
             if idx is None:
                 if has_isolated_chord(d):
                     continue  # killed in the reduced quotient
-                raise KeyError(f"not a degree-{self.degree} chord diagram: {d}")
+                raise ValueError(
+                    f"not a degree-{self.degree} chord diagram: {d}")
             vec[idx] = c
         return vec
 
@@ -323,7 +324,8 @@ class FramedQuotientSpace(QuotientSpace):
         out: dict[tuple[int, int], Fraction] = {}
         for d, c in s.terms.items():
             if d.vertices or d.degree != self.degree:
-                raise KeyError(f"not a degree-{self.degree} chord diagram: {d}")
+                raise ValueError(
+                    f"not a degree-{self.degree} chord diagram: {d}")
             for key, x in _framed_class(d).items():
                 out[key] = out.get(key, 0) + c * x
         return {key: x for key, x in out.items() if x}

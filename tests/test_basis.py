@@ -10,6 +10,7 @@ from vassiliev.basis import (
     CanonicalBasis,
     _code_version,
     _serialize_body,
+    cached_basis,
     coordinates,
     divides,
     is_valid_sum,
@@ -457,3 +458,11 @@ def test_basis_cache_rejects_corruption(tmp_path, basis4):
     path.write_text(path.read_text().replace("degree 2: d=1", "degree 2: d=2"))
     with pytest.raises(ValueError):
         load_basis(str(path))
+
+
+def test_cached_basis_rejects_other_degree(tmp_path, basis4):
+    save_basis(basis4, str(tmp_path / "basis-deg6.txt"))
+    with pytest.raises(ValueError, match="holds a degree-4 basis, "
+                       "not degree 6"):
+        cached_basis(6, str(tmp_path))
+    assert cached_basis(4, str(tmp_path)).by_degree == basis4.by_degree

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import pathlib
 import random
 import re
 import subprocess
@@ -170,6 +172,66 @@ def test_usage_error_exit_2(capsys):
     assert code == 2 and err.startswith("error: unknown knot")
     code, _, _ = run_cli(capsys, "jones", "--knot", "3_1", "--pd", "X(1,2,3,4)")
     assert code == 2
+
+
+@pytest.mark.parametrize("name, argv, fault", [
+    ("extract_alphas", ["extract", "--knot", "3_1"],
+     RuntimeError("inconsistent extraction system")),
+    ("cached_basis", ["dims"], RecursionError()),
+    ("homfly", ["homfly", "--knot", "3_1"], KeyError("not an input")),
+])
+def test_internal_faults_are_not_input_errors(capsys, monkeypatch, name,
+                                              argv, fault):
+    # only a ValueError or OSError is bad input (exit 2); a fault of the
+    # program propagates to a traceback and prints no report
+    def fail(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(f"vassiliev.cli.{name}", fail)
+    with pytest.raises(type(fault)):
+        main(argv)
+    assert not capsys.readouterr().out
+
+
+def _rechecksummed(path, extra: str) -> None:
+    """Append a body line to a basis cache file and re-checksum it, so
+    that only the line itself can be refused."""
+    lines = pathlib.Path(path).read_text().splitlines()
+    body = lines[4:-1] + [extra]
+    checksum = hashlib.sha256(("\n".join(body) + "\n").encode()).hexdigest()
+    pathlib.Path(path).write_text("\n".join(
+        lines[:4] + body + [f"checksum: {checksum[:16]}"]) + "\n")
+
+
+# a degree above the file's max-degree, no '|', a bad diagram field and
+# a non-integer component label
+@pytest.mark.parametrize("line", [
+    "element 9 0: connected | 9.0 | L=2 T=0 1-2",
+    "element 4 3: connected",
+    "element 4 3: connected | 4.3 | L=2 T=0 1-2-3",
+    "element 4 3: connected | x.y | L=2 T=0 1-2",
+])
+def test_malformed_cache_line_exit_2(tmp_path, capsys, line):
+    cache = str(tmp_path)
+    assert run_cli(capsys, "dims", "--cache-dir", cache)[0] == 0
+    path = str(tmp_path / "basis-deg4.txt")
+    _rechecksummed(path, line)
+    code, out, err = run_cli(capsys, "dims", "--cache-dir", cache)
+    assert code == 2 and not out
+    assert err == f"error: {path}: malformed line {line!r}\n", err
+
+
+@pytest.mark.parametrize("argv", [["dims"], ["basis"], ["identities"],
+                                  ["extract", "--knot", "3_1"]])
+def test_cache_of_another_degree_exit_2(tmp_path, capsys, argv):
+    cache = str(tmp_path)
+    assert run_cli(capsys, "dims", "--cache-dir", cache)[0] == 0
+    path = tmp_path / "basis-deg6.txt"
+    path.write_text((tmp_path / "basis-deg4.txt").read_text())
+    code, out, err = run_cli(capsys, *argv, "--max-degree", "6",
+                             "--cache-dir", cache)
+    assert code == 2 and not out
+    assert err == f"error: {path}: holds a degree-4 basis, not degree 6\n"
 
 
 def test_double_mirror_mark_is_unknown_knot(capsys):

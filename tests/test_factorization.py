@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -194,6 +195,40 @@ def test_verify_factorization_derives_identities_once(basis4):
     info = _composite_identities.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert reps[0] == reps[1]
+
+
+def _verify_altered(basis4, monkeypatch, alter):
+    """verify 3_1 through degree 4 on its real extraction, altered."""
+    altered = alter(extract_alphas(knot("3_1"), basis4, 4))
+    monkeypatch.setattr(factorization, "extract_alphas",
+                        lambda *args, **kwargs: altered)
+    return verify_factorization(knot("3_1"), basis4, 4)
+
+
+def test_verify_fails_on_a_wrong_connected_factor(basis4, monkeypatch):
+    # the degree-2 factor feeds the exponent and the degree-4 composite
+    def alter(ex):
+        d2 = ex.degree(2)
+        wrong = dataclasses.replace(
+            d2, connected_alphas=(d2.connected_alphas[0] + 1,))
+        return dataclasses.replace(ex, degrees=(wrong,) + ex.degrees[1:])
+
+    rep = _verify_altered(basis4, monkeypatch, alter)
+    assert not rep.reconstruction_passed
+    assert not rep.composite_check_passed
+    assert rep.log_linear_vanishes and not rep.passed
+
+
+def test_verify_fails_on_a_linear_log_term(basis4, monkeypatch):
+    def alter(ex):
+        (n, s), *rest = ex.series
+        bumped = RationalSeries((s[0], s[1] + 1) + s.coeffs[2:])
+        return dataclasses.replace(ex, series=((n, bumped), *rest))
+
+    rep = _verify_altered(basis4, monkeypatch, alter)
+    assert not rep.log_linear_vanishes
+    assert not rep.reconstruction_passed
+    assert rep.composite_check_passed and not rep.passed
 
 
 def test_extraction_design_keyed_by_probes_and_normalization(basis4):

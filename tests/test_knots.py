@@ -292,11 +292,11 @@ def test_rational_knot_validation():
 
 
 def test_unknown_knot_name():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         knot("9_99")
     # one trailing '!' mirrors; a second one names no knot
     for name in ("3_1!!", "4_1!!!"):
-        with pytest.raises(KeyError, match="unknown knot"):
+        with pytest.raises(ValueError, match="unknown knot"):
             knot(name)
 
 
