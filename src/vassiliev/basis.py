@@ -9,8 +9,10 @@ by canonical code; the first diagrams independent of everything chosen
 so far are taken.
 
 Also here: coordinates in a basis, divisibility of diagrams, the valid
-two-term sums of the diagram arithmetic, and validation of changes of
-canonical basis (block structure and non-singularity).
+two-term sums of the diagram arithmetic, validation of changes of
+canonical basis (block structure and non-singularity), and the basis
+cache, whose loader reads only the connected choice, rebuilds the rest
+with the same assembly and accepts only the text `save_basis` writes.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from . import diagrams as _diagrams_mod
 from . import laurent as _laurent_mod
@@ -28,6 +32,7 @@ from . import relations as _relations_mod
 from .diagrams import (
     EMPTY,
     Diagram,
+    SignedDiagram,
     _moved,
     canonicalize,
     component_multiset,
@@ -140,6 +145,32 @@ def multisets_up_to(labels, max_degree: int) -> list[tuple]:
     return sorted(out, key=lambda m: (sum(label[0] for label in m), m))
 
 
+def _composites(connected_of: dict, i: int) -> list[tuple[tuple, Diagram]]:
+    """One canonical product per multiset of at least two connected
+    labels of total degree i, in `multisets_up_to` order."""
+    return [(m, canonicalize(product_all(connected_of[k] for k in m)).diagram)
+            for m in multisets_up_to(list(connected_of), i)
+            if len(m) > 1 and sum(label[0] for label in m) == i]
+
+
+def _assembled(max_degree: int, choose) -> CanonicalBasis:
+    """The basis whose degree-i elements are the connected diagrams
+    `choose(i, composites)` followed by the degree's composites, with
+    the version hashed from its cache body and `_code_version()`."""
+    by_degree = {0: [BasisElement(0, 0, EMPTY, ())]}
+    # connected labels (degree, index) in ascending order -> diagram
+    connected_of: dict[tuple[int, int], Diagram] = {}
+    for i in range(1, max_degree + 1):
+        composites = _composites(connected_of, i)
+        picks = choose(i, composites)
+        connected = [(((i, k),), d) for k, d in enumerate(picks)]
+        connected_of.update((m[0], d) for m, d in connected)
+        by_degree[i] = [BasisElement(i, k, d, m) for k, (m, d)
+                        in enumerate(connected + composites)]
+    return CanonicalBasis(max_degree, by_degree, _digest(
+        _serialize_body(max_degree, by_degree) + _code_version()))
+
+
 def canonical_basis(max_degree: int) -> CanonicalBasis:
     """Build the canonical basis of the reduced quotient up to max_degree.
 
@@ -150,37 +181,22 @@ def canonical_basis(max_degree: int) -> CanonicalBasis:
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    by_degree: dict[int, list[BasisElement]] = {}
-    # connected labels (degree, index) in ascending order -> diagram
-    connected_diagram_of: dict[tuple[int, int], Diagram] = {}
 
-    for i in range(max_degree + 1):
-        if i == 0:
-            by_degree[0] = [BasisElement(0, 0, EMPTY, ())]
-            continue
+    def choose(i: int, composites) -> list[Diagram]:
         space = quotient_space(i, True)
-        target = space.dimension
         elim = SparseEliminator()
-
-        composites = []
-        for multiset in multisets_up_to(list(connected_diagram_of), i):
-            if len(multiset) < 2 or \
-                    sum(label[0] for label in multiset) != i:
-                continue
-            diag = canonicalize(product_all(
-                connected_diagram_of[key] for key in multiset)).diagram
+        for multiset, diag in composites:
             if not elim.add_row(space.residual(diag)):
                 raise RuntimeError(
                     f"degree {i}: composite {multiset} is linearly dependent "
                     "on earlier products; canonical-basis composition fails")
-            composites.append((multiset, diag))
-        if len(composites) > target:
+        quota = space.dimension - len(composites)
+        if quota < 0:
             raise RuntimeError(
                 f"degree {i}: more composites ({len(composites)}) than "
-                f"dimensions ({target})")
+                f"dimensions ({space.dimension})")
 
         picks: list[Diagram] = []
-        quota = target - len(composites)
         T = i - 1
         while len(picks) < quota and T <= 2 * i - 2:
             for cand in connected_diagrams(i, T):
@@ -193,19 +209,9 @@ def canonical_basis(max_degree: int) -> CanonicalBasis:
             raise RuntimeError(
                 f"degree {i}: found only {len(picks)} independent connected "
                 f"diagrams, need {quota}")
+        return picks
 
-        elements = []
-        for idx, diag in enumerate(picks):
-            elements.append(BasisElement(i, idx, diag, ((i, idx),)))
-            connected_diagram_of[(i, idx)] = diag
-        for off, (multiset, diag) in enumerate(composites):
-            elements.append(BasisElement(i, quota + off, diag, multiset))
-        by_degree[i] = elements
-
-    body = _serialize_body(max_degree, by_degree)
-    version = hashlib.sha256(
-        (body + _code_version()).encode()).hexdigest()[:16]
-    return CanonicalBasis(max_degree, by_degree, version)
+    return _assembled(max_degree, choose)
 
 
 @functools.cache
@@ -456,83 +462,77 @@ def _serialize_body(max_degree: int, by_degree: dict[int, list[BasisElement]]) -
     return "\n".join(lines) + "\n"
 
 
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _cache_text(basis: CanonicalBasis) -> str:
+    body = _serialize_body(basis.max_degree, basis.by_degree)
+    return (f"# canonical basis cache\nformat: 1\n"
+            f"code-version: {_code_version()}\nversion: {basis.version}\n"
+            f"{body}checksum: {_digest(body)}\n")
+
+
 def save_basis(basis: CanonicalBasis, path: str) -> None:
     """Write the plain-text cache file (stable across runs)."""
-    body = _serialize_body(basis.max_degree, basis.by_degree)
-    checksum = hashlib.sha256(body.encode()).hexdigest()[:16]
     with open(path, "w") as fh:
-        fh.write("# canonical basis cache\n")
-        fh.write("format: 1\n")
-        fh.write(f"code-version: {_code_version()}\n")
-        fh.write(f"version: {basis.version}\n")
-        fh.write(body)
-        fh.write(f"checksum: {checksum}\n")
+        fh.write(_cache_text(basis))
+
+
+# a connected element record: its degree and its diagram
+_CONNECTED = re.compile(r"element ([0-9]+) [0-9]+: connected \| [^|]* \| (.*)")
 
 
 def load_basis(path: str) -> CanonicalBasis:
     """Load and verify a cache file; stale or corrupt caches are rejected.
 
-    Reads the file, checks its format, code version and checksum, and
-    STU-expands each element into chord diagrams (the input of weights,
-    extraction, verification and coordinates).  No quotient space is
-    built here: the 4T quotient of a degree is built on the first
-    `coordinates` call at that degree.
+    After the format, code-version and checksum checks only the
+    connected element records are read; each must hold a connected
+    canonical diagram (sign +1) of its degree, at most max-degree.  The
+    rest is rebuilt by `canonical_basis`'s assembly, and the file must
+    be the text `save_basis` writes for the result: the first line that
+    differs is named.  Elements are STU-expanded into chord diagrams
+    here; a degree's 4T quotient is built on its first `coordinates`.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
-    if not lines or lines[0] != "# canonical basis cache":
+    if lines[:1] != ["# canonical basis cache"]:
         raise ValueError(f"{path}: not a basis cache file")
-    header = {}
-    idx = 1
-    for idx in range(1, len(lines)):
-        if lines[idx].startswith(("format:", "code-version:", "version:")):
-            k, v = lines[idx].split(":", 1)
-            header[k] = v.strip()
-        else:
-            break
-    body_lines = [ln for ln in lines[idx:] if not ln.startswith("checksum:")]
-    checksum_lines = [ln for ln in lines if ln.startswith("checksum:")]
-    body = "\n".join(body_lines) + "\n"
-    if header.get("format") != "1":
+    if lines[1:2] != ["format: 1"]:
         raise ValueError(f"{path}: unsupported cache format")
-    if header.get("code-version") != _code_version():
+    if lines[2:3] != [f"code-version: {_code_version()}"]:
         raise ValueError(f"{path}: cache written by a different code version; "
                          "rebuild the basis")
-    if not checksum_lines or checksum_lines[0].split(":", 1)[1].strip() != \
-            hashlib.sha256(body.encode()).hexdigest()[:16]:
+    body = "".join(f"{ln}\n" for ln in lines[4:-1])
+    if lines[-1] != f"checksum: {_digest(body)}":
         raise ValueError(f"{path}: checksum mismatch, cache is corrupt")
 
-    by_degree: dict[int, list[BasisElement]] = {}
-    max_degree = 0
+    picks: dict[int, list[Diagram]] = {}
+    ln = lines[5] if len(lines) > 5 else ""
     try:
-        for ln in body_lines:
-            if ln.startswith("max-degree:"):
-                max_degree = int(ln.split(":")[1])
-                for i in range(max_degree + 1):
-                    by_degree.setdefault(i, [])
-            elif ln.startswith("element"):
-                head, kind, comps, diag = _split_element(ln)
-                _, deg_s, idx_s = head.split()
-                deg, eidx = int(deg_s), int(idx_s)
-                components = tuple(
-                    tuple(map(int, c.split("."))) for c in comps.split()) \
-                    if comps else ()
-                by_degree[deg].append(
-                    BasisElement(deg, eidx, parse(diag), components))
-    except (ValueError, KeyError) as exc:  # KeyError: a degree above max
+        max_degree = int(ln.removeprefix("max-degree: "))
+        if not 0 <= max_degree < len(lines):
+            raise ValueError
+        for ln in lines[6:-1]:
+            record = _CONNECTED.fullmatch(ln)
+            if record:
+                d = parse(record[2])
+                if not (d.degree == int(record[1]) <= max_degree
+                        and len(decompose(d).components) == 1
+                        and canonicalize(d) == SignedDiagram(d, 1)):
+                    raise ValueError
+                picks.setdefault(d.degree, []).append(d)
+        basis = _assembled(max_degree, lambda i, _: picks.get(i, []))
+        for ln, want in zip_longest(lines, _cache_text(basis).splitlines()):
+            if ln != want:
+                raise ValueError
+    except ValueError as exc:
         raise ValueError(f"{path}: malformed line {ln!r}") from exc
     # fills the STU-expansion cache that weights and coordinates read
-    for elems in by_degree.values():
+    for elems in basis.by_degree.values():
         for e in elems:
             reduce_to_chords(e.diagram)
-    version = header.get("version", "")
-    return CanonicalBasis(max_degree, by_degree, version)
-
-
-def _split_element(ln: str):
-    head, rest = ln.split(":", 1)
-    kind, comps, diag = [p.strip() for p in rest.split("|", 2)]
-    return head.strip(), kind, comps, diag
+    return basis
 
 
 def basis_cache_path(cache_dir: str, max_degree: int) -> str:

@@ -1,6 +1,7 @@
 import importlib
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from vassiliev.basis import (
     BasisChangeMatrix,
     CanonicalBasis,
     _code_version,
+    _digest,
     _serialize_body,
     cached_basis,
     coordinates,
@@ -16,6 +18,7 @@ from vassiliev.basis import (
     is_valid_sum,
     load_basis,
     save_basis,
+    shared_basis,
     transform_alphas,
     validate_basis_change,
 )
@@ -395,12 +398,68 @@ def test_transform_alphas_contravariant(basis6):
     assert out == [Fraction(2), Fraction(5), Fraction(2)]
 
 
-def test_basis_cache_roundtrip(tmp_path, basis4):
-    path = str(tmp_path / "basis.txt")
-    save_basis(basis4, path)
-    again = load_basis(path)
-    assert again.by_degree == basis4.by_degree
-    assert again.version == basis4.version
+def test_basis_cache_roundtrip(tmp_path):
+    # the loader rebuilds the same basis, and saving it rewrites the file
+    for max_degree in range(6):
+        basis = shared_basis(max_degree)
+        path = tmp_path / f"basis-deg{max_degree}.txt"
+        save_basis(basis, str(path))
+        again = load_basis(str(path))
+        assert again.by_degree == basis.by_degree, max_degree
+        assert again.version == basis.version, max_degree
+        resaved = tmp_path / "resaved.txt"
+        save_basis(again, str(resaved))
+        assert resaved.read_bytes() == path.read_bytes(), max_degree
+
+
+@pytest.mark.parametrize("old, new", [
+    # four crossing chords: not connected
+    ("| L=5 T=3 1-V1.1 2-V1.2 3-V2.1 4-V2.2 5-V3.1 V1.3-V3.2 V2.3-V3.3",
+     "| L=8 T=0 1-5 2-6 3-7 4-8"),
+    # the tripod with its slots rotated: not the canonical form
+    ("| L=3 T=1 1-V1.1 2-V1.2 3-V1.3", "| L=3 T=1 1-V1.2 2-V1.3 3-V1.1"),
+    # the tripod with its orientation reversed: sign -1
+    ("| L=3 T=1 1-V1.1 2-V1.2 3-V1.3", "| L=3 T=1 1-V1.2 2-V1.1 3-V1.3"),
+])
+def test_basis_cache_refuses_connected_records(tmp_path, basis4, old, new):
+    # with the version and checksum recomputed, the file is the one
+    # save_basis would write, but a connected record must still hold a
+    # connected canonical diagram of sign +1
+    path = tmp_path / "basis.txt"
+    save_basis(basis4, str(path))
+    lines = path.read_text().replace(old, new, 1).splitlines()
+    _resealed(path, lines)
+    edited = next(ln for ln in lines if new in ln)
+    with pytest.raises(ValueError, match=re.escape(repr(edited))):
+        load_basis(str(path))
+
+
+@pytest.mark.parametrize("max_degree", ["-1", "1000000000"])
+def test_basis_cache_refuses_max_degree_without_lines(tmp_path, basis4,
+                                                      monkeypatch, max_degree):
+    # a cache has a line per degree, so a max-degree below 0 or past the
+    # end of the file is refused before anything is assembled
+    path = tmp_path / "basis.txt"
+    save_basis(basis4, str(path))
+    lines = path.read_text().splitlines()
+    _resealed(path, lines[:4] + ["reduced: true", f"max-degree: {max_degree}",
+                                 lines[-1]])
+
+    def refuse(*args):
+        raise AssertionError("load_basis assembled composites")
+
+    monkeypatch.setattr("vassiliev.basis._composites", refuse)
+    with pytest.raises(ValueError, match=f"'max-degree: {max_degree}'"):
+        load_basis(str(path))
+
+
+def _resealed(path, lines: list[str]) -> None:
+    """Write cache lines with the version and checksum their body gives,
+    as save_basis would for the basis the connected records describe."""
+    body = "".join(f"{ln}\n" for ln in lines[4:-1])
+    lines[3] = f"version: {_digest(body + _code_version())}"
+    lines[-1] = f"checksum: {_digest(body)}"
+    path.write_text("".join(f"{ln}\n" for ln in lines))
 
 
 def test_load_basis_builds_no_quotient_space(tmp_path, basis5, monkeypatch):

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from vassiliev.basis import save_basis, shared_basis
 from vassiliev.cli import WEIGHT_BUDGET, main
 from vassiliev.diagrams import (
     chord_diagram,
@@ -193,14 +194,18 @@ def test_internal_faults_are_not_input_errors(capsys, monkeypatch, name,
     assert not capsys.readouterr().out
 
 
-def _rechecksummed(path, extra: str) -> None:
-    """Append a body line to a basis cache file and re-checksum it, so
-    that only the line itself can be refused."""
-    lines = pathlib.Path(path).read_text().splitlines()
-    body = lines[4:-1] + [extra]
-    checksum = hashlib.sha256(("\n".join(body) + "\n").encode()).hexdigest()
+def _rechecksummed(path, text: str, old: str | None = None) -> None:
+    """Append the line `text` to the body of a basis cache file, or put
+    `text` in place of the first `old` in the file, and re-checksum it,
+    so that only the edit itself can be refused."""
+    whole = pathlib.Path(path).read_text()
+    lines = (whole.replace(old, text, 1) if old else whole).splitlines()[:-1]
+    if old is None:
+        lines.append(text)
+    body = "\n".join(lines[4:]) + "\n"
+    checksum = hashlib.sha256(body.encode()).hexdigest()
     pathlib.Path(path).write_text("\n".join(
-        lines[:4] + body + [f"checksum: {checksum[:16]}"]) + "\n")
+        lines + [f"checksum: {checksum[:16]}"]) + "\n")
 
 
 # a degree above the file's max-degree, no '|', a bad diagram field and
@@ -219,6 +224,78 @@ def test_malformed_cache_line_exit_2(tmp_path, capsys, line):
     code, out, err = run_cli(capsys, "dims", "--cache-dir", cache)
     assert code == 2 and not out
     assert err == f"error: {path}: malformed line {line!r}\n", err
+
+
+@pytest.fixture(scope="module")
+def cache4(tmp_path_factory):
+    # the text `dims --cache-dir` writes for the default degree 4
+    path = tmp_path_factory.mktemp("cache") / "basis-deg4.txt"
+    save_basis(shared_basis(4), str(path))
+    return path.read_text()
+
+
+# the degree-4 elements 4.0 (connected) and 4.2 (composite 2.0 2.0)
+_E40 = "L=5 T=3 1-V1.1 2-V1.2 3-V2.1 4-V2.2 5-V3.1 V1.3-V3.2 V2.3-V3.3"
+_E42 = "L=6 T=2 1-V1.1 2-V1.2 3-V1.3 4-V2.1 5-V2.2 6-V2.3"
+
+
+# each edit of the degree-4 cache is re-checksummed: (old, text) puts
+# text in place of old, (None, line) appends a line
+@pytest.mark.parametrize("old, text", [
+    (None, "element 4 3: connected | 4.3 | L=2 T=0 1-2"),
+    (None, f"element 4 3: composite | 2.5 2.5 | {_E42}"),
+    ("element 2 0", "elemnt 2 0"),
+    ("composite", "connected"),
+    ("element 4 1", "element 4 5"),
+    (f"2.0 2.0 | {_E42}", f"2.0 2.0 | {_E40}"),
+    (f"4.0 | {_E40}", "4.0 | L=8 T=0 1-5 2-6 3-7 4-8"),
+    ("dhat=2", "dhat=3"),
+    ("\nversion: ", "\nversion: 0"),
+    (f"4.0 | {_E40}\n",
+     f"4.0 | {_E40}\nelement 4 0: connected | 4.0 | {_E40}\n"),
+], ids=["chord-appended", "unknown-component", "elemnt", "kind", "index",
+        "composite-swapped", "chord-replaced", "dhat", "version",
+        "duplicated"])
+@pytest.mark.parametrize("argv", [["dims"], ["basis"], ["identities"],
+                                  ["extract", "--knot", "3_1"],
+                                  ["verify", "--knot", "3_1"]],
+                         ids=["dims", "basis", "identities", "extract",
+                              "verify"])
+def test_hostile_cache_exit_2(tmp_path, capsys, cache4, old, text, argv):
+    # the loader accepts only the text save_basis writes for the basis
+    # its connected records give
+    assert old is None or old in cache4
+    path = tmp_path / "basis-deg4.txt"
+    path.write_text(cache4)
+    _rechecksummed(path, text, old)
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 2 and not out
+    assert err.startswith(f"error: {path}: malformed line "), err
+
+
+def test_fuzzed_cache_body_exit_2(tmp_path, capsys, cache4):
+    # single-character edits of the body lines, each re-checksummed:
+    # every edit that changes a line is refused, a no-op edit loads
+    rng = random.Random(34)
+    path = tmp_path / "basis-deg4.txt"
+    body = cache4.splitlines()[4:-1]
+    alphabet = sorted(set("".join(body)))
+    for _ in range(150):
+        line = rng.choice(body)
+        k = rng.randrange(len(line))
+        edited = rng.choice([line[:k] + rng.choice(alphabet) + line[k + 1:],
+                             line[:k] + line[k + 1:],
+                             line[:k] + rng.choice(alphabet) + line[k:]])
+        path.write_text(cache4)
+        _rechecksummed(path, f"\n{edited}\n", f"\n{line}\n")
+        for command in ("dims", "basis", "identities"):
+            code, out, err = run_cli(capsys, command,
+                                     "--cache-dir", str(tmp_path))
+            if edited == line:
+                assert code == 0, (command, line)
+            else:
+                assert (code, out) == (2, ""), (command, line, edited)
+                assert err.startswith(f"error: {path}: malformed line "), err
 
 
 @pytest.mark.parametrize("argv", [["dims"], ["basis"], ["identities"],
