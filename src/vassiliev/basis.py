@@ -153,14 +153,22 @@ def _composites(connected_of: dict, i: int) -> list[tuple[tuple, Diagram]]:
             if len(m) > 1 and sum(label[0] for label in m) == i]
 
 
-def _assembled(max_degree: int, choose) -> CanonicalBasis:
+def _assembled(max_degree: int, choose, limit=None) -> CanonicalBasis:
     """The basis whose degree-i elements are the connected diagrams
     `choose(i, composites)` followed by the degree's composites, with
-    the version hashed from its cache body and `_code_version()`."""
+    the version hashed from its cache body and `_code_version()`;
+    ValueError before composites would bring the elements past `limit`."""
     by_degree = {0: [BasisElement(0, 0, EMPTY, ())]}
     # connected labels (degree, index) in ascending order -> diagram
     connected_of: dict[tuple[int, int], Diagram] = {}
     for i in range(1, max_degree + 1):
+        # label multisets by total degree: elements so far, composites at i
+        ways = [1] + [0] * i
+        for d, _ in connected_of:
+            for total in range(d, i + 1):
+                ways[total] += ways[total - d]
+        if limit is not None and sum(ways) > limit:
+            raise ValueError(f"degree {i}: more than {limit} elements")
         composites = _composites(connected_of, i)
         picks = choose(i, composites)
         connected = [(((i, k),), d) for k, d in enumerate(picks)]
@@ -479,8 +487,8 @@ def save_basis(basis: CanonicalBasis, path: str) -> None:
         fh.write(_cache_text(basis))
 
 
-# a connected element record: its degree and its diagram
-_CONNECTED = re.compile(r"element ([0-9]+) [0-9]+: connected \| [^|]* \| (.*)")
+# a connected element record: its degree, index and diagram
+_CONNECTED = re.compile(r"element ([0-9]+) ([0-9]+): connected \| [^|]* \| (.*)")
 
 
 def load_basis(path: str) -> CanonicalBasis:
@@ -488,11 +496,13 @@ def load_basis(path: str) -> CanonicalBasis:
 
     After the format, code-version and checksum checks only the
     connected element records are read; each must hold a connected
-    canonical diagram (sign +1) of its degree, at most max-degree.  The
-    rest is rebuilt by `canonical_basis`'s assembly, and the file must
-    be the text `save_basis` writes for the result: the first line that
-    differs is named.  Elements are STU-expanded into chord diagrams
-    here; a degree's 4T quotient is built on its first `coordinates`.
+    canonical diagram (sign +1) of its degree, at most max-degree, and
+    the next index.  `canonical_basis`'s assembly rebuilds the rest, up
+    to one element per line of the file, and the file must be the text
+    `save_basis` writes for the result: the first body line that
+    differs, else the version, is named.  Elements are STU-expanded
+    into chord diagrams here; a degree's 4T quotient is built on its
+    first `coordinates`.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -516,15 +526,21 @@ def load_basis(path: str) -> CanonicalBasis:
         for ln in lines[6:-1]:
             record = _CONNECTED.fullmatch(ln)
             if record:
-                d = parse(record[2])
+                d = parse(record[3])
                 if not (d.degree == int(record[1]) <= max_degree
+                        and int(record[2]) == len(picks.get(d.degree, []))
                         and len(decompose(d).components) == 1
                         and canonicalize(d) == SignedDiagram(d, 1)):
                     raise ValueError
                 picks.setdefault(d.degree, []).append(d)
-        basis = _assembled(max_degree, lambda i, _: picks.get(i, []))
-        for ln, want in zip_longest(lines, _cache_text(basis).splitlines()):
-            if ln != want:
+            elif not ln.startswith(("element ", "degree ")):
+                raise ValueError
+        ln = lines[5]  # more elements than lines: max-degree is at fault
+        basis = _assembled(max_degree, lambda i, _: picks.get(i, []),
+                           len(lines))
+        want = _cache_text(basis).splitlines()
+        for ln, w in zip_longest(lines[4:] + lines[:4], want[4:] + want[:4]):
+            if ln != w:
                 raise ValueError
     except ValueError as exc:
         raise ValueError(f"{path}: malformed line {ln!r}") from exc

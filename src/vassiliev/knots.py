@@ -23,7 +23,7 @@ Invariants:
     the frontier's width, not 2^n.  One power of delta per loop count,
     writhe-corrected and normalized to 1 on the unknot; at most
     BRACKET_CROSSING_BUDGET crossings and COMPONENT_BUDGET components;
-  * homfly -- skein recursion (a P+ - a^{-1} P- = z P0, unknot = 1)
+  * homfly -- skein recursion (a^{-1} P+ - a P- = z P0, unknot = 1)
     toward descending diagrams.  Each state first loses its curls
     (Reidemeister I) and bigons (Reidemeister II); a descending state
     is then evaluated at once, and any other is memoized on its walk
@@ -31,8 +31,8 @@ Invariants:
     ids: after the removal few states recur, and a least-code search
     cost more than its extra hits saved.  At most HOMFLY_CROSSING_BUDGET
     crossings and COMPONENT_BUDGET components;
-  * sun_slice -- the su(N) one-variable specialization a = q^N,
-    z = q - q^{-1}; at N = 2 it recovers jones with t = q^2.
+  * sun_slice -- the su(N) slice a = q^N, z = q - q^{-1}, expanded by
+    the binomial theorem; at N = 2 it recovers jones with t = q^2.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .laurent import Laurent1, Laurent2
 
@@ -660,15 +661,17 @@ def homfly(knot: "PlanarDiagram | BraidWord") -> Laurent2:
 
 
 def sun_slice(h: Laurent2, n: int) -> Laurent1:
-    """su(N) fundamental one-variable slice: a = q^n, z = q - q^{-1}."""
+    """su(N) slice a = q^n, z = q - q^{-1}, by binomial expansion."""
     if n < 2:
         raise ValueError("rank must be at least 2")
     if any(e2 < 0 for _, e2 in h.coeffs):
         raise ValueError("the su(N) slice needs a knot: a link's skein "
                          "polynomial has negative powers of z")
-    q_n = Laurent1({n: 1}, var="q")
-    z = Laurent1({1: 1, -1: -1}, var="q")
-    return h.substitute(q_n, z)
+    out = defaultdict(int)
+    for (i, j), c in h.coeffs.items():
+        for k in range(j + 1):
+            out[n * i + j - 2 * k] += (-c if k & 1 else c) * comb(j, k)
+    return Laurent1(out, var="q")
 
 
 # --------------------------------------------------------------------------

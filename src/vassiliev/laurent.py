@@ -230,10 +230,6 @@ class Laurent2(SparsePoly):
     def __init__(self, coeffs=None, vars: tuple[str, str] = ("a", "z")):
         super().__init__(coeffs, tuple(vars))
 
-    @property
-    def vars(self) -> tuple[str, str]:
-        return self.names
-
     def _factors(self, m):
         return zip(self.names, m)
 
@@ -245,12 +241,3 @@ class Laurent2(SparsePoly):
     @classmethod
     def one(cls, vars: tuple[str, str] = ("a", "z")) -> "Laurent2":
         return cls({(0, 0): 1}, vars=vars)
-
-    def substitute(self, first: Laurent1, second: Laurent1) -> Laurent1:
-        """Evaluate at one-variable Laurent polynomials (a ring map)."""
-        out = Laurent1.zero(var=first.var)
-        for (e1, e2), c in sorted(self.coeffs.items()):
-            if e2 < 0:
-                raise ValueError("negative exponent in second variable")
-            out = out + (first ** e1) * (second ** e2) * c
-        return out

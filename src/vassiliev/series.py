@@ -14,14 +14,16 @@ and b = log(a), O(K^2) products and never a power of the series:
     exp:  n b_n = sum_{k=1..n} k a_k b_{n-k}
     log:  n b_n = n a_n - sum_{k=1..n-1} k b_k a_{n-k}   (a_0 = 1)
 
-`substitute_exponential` takes integer power sums of the exponents and
-builds one `Fraction` per output coefficient.
+`log_series` runs the log recurrence on the integer series s(D x), D the
+lcm of the denominators, and `substitute_exponential` on integer power
+sums of the exponents; each builds one `Fraction` per coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .laurent import Laurent1
 
@@ -66,17 +68,21 @@ def seq_log(a: list, K: int, zero=_ZERO, one=Fraction(1)) -> list:
     """
     if not a or a[0] != one:
         raise ValueError("log requires constant term one")
+    db = _log_recurrence(a, K, zero)
+    return [zero] + [db[n] * Fraction(1, n) for n in range(1, K + 1)]
+
+
+def _log_recurrence(a: list, K: int, zero) -> list:
+    """[k b_k, k = 0..K] for b = log(a), a_0 = 1, without a division."""
     a = [a[i] if i < len(a) else zero for i in range(K + 1)]
-    out = [zero] * (K + 1)
-    db = [zero] * (K + 1)  # k b_k
+    db = [zero] * (K + 1)
     for n in range(1, K + 1):
         acc = zero
         for k in range(1, n):
             if db[k] != zero and a[n - k] != zero:
                 acc = acc + db[k] * a[n - k]
         db[n] = n * a[n] - acc
-        out[n] = db[n] * Fraction(1, n)
-    return out
+    return db
 
 
 @dataclass(frozen=True)
@@ -86,7 +92,7 @@ class RationalSeries:
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs, order: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if order is not None:
             cs = cs[: order + 1] + [_ZERO] * (order + 1 - len(cs))
         if not cs:
@@ -142,12 +148,6 @@ class RationalSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "RationalSeries":
-        out = RationalSeries.one(self.order)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def truncate(self, order: int) -> "RationalSeries":
         return RationalSeries(self.coeffs, order=order)
 
@@ -166,7 +166,11 @@ def log_series(s: RationalSeries) -> RationalSeries:
     """Logarithm of a series with constant term 1, exact to order K."""
     if s[0] != 1:
         raise ValueError("log_series requires constant term 1")
-    return RationalSeries(seq_log(list(s.coeffs), s.order))
+    D = lcm(*(c.denominator for c in s.coeffs))
+    db = _log_recurrence([c.numerator * (D ** i // c.denominator)
+                          for i, c in enumerate(s.coeffs)], s.order, 0)
+    return RationalSeries([_ZERO] + [Fraction(db[k], k * D ** k)
+                                     for k in range(1, s.order + 1)])
 
 
 def substitute_exponential(p: Laurent1, order: int,

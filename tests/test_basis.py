@@ -10,6 +10,7 @@ from vassiliev.basis import (
     BasisChangeMatrix,
     CanonicalBasis,
     _code_version,
+    _composites,
     _digest,
     _serialize_body,
     cached_basis,
@@ -30,6 +31,7 @@ from vassiliev.diagrams import (
     has_isolated_chord,
     product,
     random_diagram,
+    serialize,
 )
 from vassiliev.linalg import determinant, solve_dense
 from vassiliev.relations import quotient_space, stu
@@ -451,6 +453,29 @@ def test_basis_cache_refuses_max_degree_without_lines(tmp_path, basis4,
     monkeypatch.setattr("vassiliev.basis._composites", refuse)
     with pytest.raises(ValueError, match=f"'max-degree: {max_degree}'"):
         load_basis(str(path))
+
+
+def test_basis_cache_refuses_more_elements_than_lines(tmp_path, basis4,
+                                                      monkeypatch):
+    # 20 tripod records and max-degree 10 ask for 210 composites at
+    # degree 4 alone; the 27-line file is refused before they are built
+    path = tmp_path / "basis.txt"
+    save_basis(basis4, str(path))
+    lines = path.read_text().splitlines()
+    tripod = basis4.element(2, 0).diagram
+    _resealed(path, lines[:4] + ["reduced: true", "max-degree: 10"] + [
+        f"element 2 {k}: connected | 2.{k} | {serialize(tripod)}"
+        for k in range(20)] + [lines[-1]])
+    built = []
+
+    def counted(connected_of, i):
+        built.append(i)
+        return _composites(connected_of, i)
+
+    monkeypatch.setattr("vassiliev.basis._composites", counted)
+    with pytest.raises(ValueError, match="'max-degree: 10'"):
+        load_basis(str(path))
+    assert built == [1, 2, 3]
 
 
 def _resealed(path, lines: list[str]) -> None:

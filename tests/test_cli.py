@@ -273,6 +273,25 @@ def test_hostile_cache_exit_2(tmp_path, capsys, cache4, old, text, argv):
     assert err.startswith(f"error: {path}: malformed line "), err
 
 
+# an unread record (a damaged prefix) and a duplicated one change the
+# basis the records give; the record is named, not a count or version
+@pytest.mark.parametrize("old, text, named", [
+    ("element 2 0", "elemnt 2 0",
+     "elemnt 2 0: connected | 2.0 | L=3 T=1 1-V1.1 2-V1.2 3-V1.3"),
+    (f"4.0 | {_E40}\n",
+     f"4.0 | {_E40}\nelement 4 0: connected | 4.0 | {_E40}\n",
+     f"element 4 0: connected | 4.0 | {_E40}"),
+], ids=["elemnt", "duplicated"])
+def test_hostile_cache_names_the_record(tmp_path, capsys, cache4, old, text,
+                                        named):
+    path = tmp_path / "basis-deg4.txt"
+    path.write_text(cache4)
+    _rechecksummed(path, text, old)
+    code, out, err = run_cli(capsys, "dims", "--cache-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: malformed line {named!r}\n", err
+
+
 def test_fuzzed_cache_body_exit_2(tmp_path, capsys, cache4):
     # single-character edits of the body lines, each re-checksummed:
     # every edit that changes a line is refused, a no-op edit loads

@@ -1,5 +1,6 @@
 import pytest
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from vassiliev.cli import main as cli_main
 from vassiliev.knot_table import knot, knot_names, table
 from vassiliev.laurent import Laurent1, Laurent2
 from vassiliev.linalg import determinant as matrix_determinant
+from vassiliev.series import log_series, substitute_exponential
 
 UNKNOT = PlanarDiagram([], 1)
 JONES_TABLE = {
@@ -338,6 +340,62 @@ def test_random_braid_knots_slice_oracle():
         checked += 1
 
 
+def _ring_map_slice(h, n):
+    # the per-term ring map sun_slice replaced: powers of a = q^n and
+    # z = q - q^-1 multiplied and added as Laurent polynomials
+    a, z = Laurent1({n: 1}, var="q"), Laurent1({1: 1, -1: -1}, var="q")
+    out = Laurent1.zero(var="q")
+    for (e1, e2), c in sorted(h.coeffs.items()):
+        out = out + (a ** e1) * (z ** e2) * c
+    return out
+
+
+def _table_and_braid_knots(seed, extra):
+    """Every table knot and its mirror, then `extra` seeded closures of
+    knot braids with at most 9 letters on 2-4 strands."""
+    cases = [(name, knot(name)) for base in knot_names()
+             for name in (base, base + "!")]
+    rng = random.Random(seed)
+    while len(cases) < 2 * len(knot_names()) + extra:
+        strands = rng.randint(2, 4)
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 9))]
+        if _is_knot_braid(strands, word):
+            cases.append(((strands, word),
+                          braid_closure(BraidWord(strands, word))))
+    return cases
+
+
+def test_sun_slice_matches_ring_map():
+    # the binomial expansion against the Laurent ring map, N = 2..9
+    for what, pd in _table_and_braid_knots(35, 30):
+        h = homfly(pd)
+        for n in range(2, 10):
+            s, oracle = sun_slice(h, n), _ring_map_slice(h, n)
+            assert s.coeffs == oracle.coeffs, (what, n)
+            assert str(s) == str(oracle), (what, n)
+
+
+def test_slices_and_logs_pinned():
+    # sha256 of the N = 2..5 slices and of the logs of their series at
+    # q = exp(x/2) to order 8, for every table knot and mirror, as the
+    # Laurent ring map and the Fraction log recurrence computed them
+    slices, logs = [], []
+    for base in knot_names():
+        for name in (base, base + "!"):
+            h = homfly(knot(name))
+            for n in range(2, 6):
+                s = sun_slice(h, n)
+                log = log_series(substitute_exponential(s, 8, Fraction(1, 2)))
+                slices.append(f"{name} {n}: {s}")
+                logs.append(f"{name} {n}: {log}")
+    digests = [hashlib.sha256("\n".join(lines).encode()).hexdigest()
+               for lines in (slices, logs)]
+    assert digests == [
+        "f4c318e920efb2500ce8d65504f4f67e25b77d18116a40b1c1a3a96d7675775d",
+        "15ebb5d8b259e049b42c683eaa835dd7084bb1a4147b0bcfd3557a7a4d144bc9"]
+
+
 def _assert_int_coefficients(poly, what):
     kinds = {type(c).__name__ for c in poly.coeffs.values()}
     assert kinds <= {"int"}, (what, kinds)
@@ -346,17 +404,7 @@ def _assert_int_coefficients(poly, what):
 def test_knot_polynomials_keep_int_coefficients():
     # the bracket, skein and slice arithmetic is integer throughout; a
     # stray Fraction would put the knot layer back on fractions.Fraction
-    cases = [(name, knot(name)) for base in knot_names()
-             for name in (base, base + "!")]
-    rng = random.Random(83)
-    while len(cases) < 2 * len(knot_names()) + 12:
-        strands = rng.randint(2, 4)
-        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1)
-                for _ in range(rng.randint(1, 9))]
-        if _is_knot_braid(strands, word):
-            pd = braid_closure(BraidWord(strands, word))
-            cases.append(((strands, word), pd))
-    for what, pd in cases:
+    for what, pd in _table_and_braid_knots(83, 12):
         _assert_int_coefficients(jones(pd), what)
         h = homfly(pd)
         _assert_int_coefficients(h, what)

@@ -5,6 +5,8 @@ from math import factorial
 import pytest
 
 from vassiliev.formal import MultiPoly
+from vassiliev.knot_table import knot, knot_names
+from vassiliev.knots import homfly, sun_slice
 from vassiliev.laurent import Laurent1
 from vassiliev.series import (
     RationalSeries,
@@ -196,6 +198,31 @@ def test_exp_log_match_power_sum_reference():
     # a series shorter than the truncation order is padded with zeros
     assert seq_exp([_ZERO, _ONE], 6) == _reference_exp([_ZERO, _ONE], 6)
     assert seq_log([_ONE, _ONE], 6) == _reference_log([_ONE, _ONE], 6)
+
+
+def test_log_series_matches_fraction_recurrence():
+    # the integer recurrence on the lcm-scaled series against seq_log
+    # over Fractions: seeded series with denominators up to 10^6, and
+    # the series of the table knots' slices at q = exp(x/2)
+    rng = random.Random(35)
+    cases = []
+    for _ in range(300):
+        K = rng.randint(0, 10)
+        top = rng.choice((10, 10 ** 3, 10 ** 6))
+        density = rng.choice((0.25, 1.0))
+        cases.append([_ONE] + [
+            Fraction(rng.randint(-top, top), rng.randint(1, top))
+            if rng.random() < density else _ZERO for _ in range(K)])
+    for base in knot_names():
+        for name in (base, base + "!"):
+            h = homfly(knot(name))
+            for n in range(2, 6):
+                cases.append(list(substitute_exponential(
+                    sun_slice(h, n), 8, Fraction(1, 2)).coeffs))
+    for u in cases:
+        lg = log_series(RationalSeries(u))
+        assert lg.coeffs == tuple(seq_log(u, len(u) - 1)), u
+        assert all(type(c) is Fraction for c in lg.coeffs), u
 
 
 def test_exp_log_match_reference_over_polynomials():
