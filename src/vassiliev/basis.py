@@ -43,6 +43,7 @@ from .diagrams import (
     product_all,
     serialize,
 )
+from .knots import _check_degree_budget
 from .linalg import SparseEliminator, determinant, invert
 from .relations import (
     ihx,
@@ -185,10 +186,12 @@ def canonical_basis(max_degree: int) -> CanonicalBasis:
     Aborts with a diagnostic if the products of lower-degree connected
     elements fail to stay independent, or if connected candidates cannot
     fill the remaining dimensions -- either event would contradict the
-    composition structure of the basis.
+    composition structure of the basis.  Refused above the quotient
+    degree budget before any work.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
+    _check_degree_budget(max_degree)
 
     def choose(i: int, composites) -> list[Diagram]:
         space = quotient_space(i, True)

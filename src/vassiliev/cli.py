@@ -6,9 +6,9 @@ probes, cache directory) so results are reproducible; output is
 deterministic for a fixed configuration and cache state.
 
 Exit codes: 0 success, 1 check failure, 2 usage or input error (a
-`ValueError` or `OSError` from the input), 3 crossing, component or
-weight budget exceeded.  Any other exception is a fault of the program
-and ends in a traceback.
+`ValueError` or `OSError` from the input), 3 crossing, component,
+weight or quotient degree budget exceeded.  Any other exception is a
+fault of the program and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .knots import (
     parse_pd,
     pd_to_text,
 )
-from .relations import dimension
+from .relations import dimension, quotient_space
 from .weights import DEFAULT_CONFIG, weight_sun, weight_sun_at
 from .factorization import SLICE_CONVENTION
 
@@ -149,6 +149,7 @@ def cmd_dims(args) -> int:
                          "d_hat": basis.d_hat(i)})
         report["basis_version"] = basis.version
     else:
+        quotient_space(args.max_degree, False)  # the degree budget first
         for i in range(args.max_degree + 1):
             rows.append({"degree": i, "d": dimension(i, reduced=False)})
     report["dimensions"] = rows

@@ -57,6 +57,11 @@ BRACKET_CROSSING_BUDGET = 16
 # components, free loops included: an n-component unlink has an n-term
 # answer with n-bit coefficients, so free strands cost as crossings do
 COMPONENT_BUDGET = 100
+# chord-diagram quotients and bases: cold, degree 8 took 68 s and 630 MB
+# (Python 3.11, 2-vCPU VM), and degree 9 has 15 times its chord classes
+QUOTIENT_DEGREE_BUDGET = 8
+# chord diagrams up to rotation by degree (OEIS A007769)
+_CHORD_CLASSES = (1, 1, 2, 5, 18, 105, 902, 9749, 127072, 1915951, 32743182)
 
 
 def check_component_budget(components: int) -> None:
@@ -65,6 +70,16 @@ def check_component_budget(components: int) -> None:
         raise BudgetExceededError(
             f"{components} components exceed the component budget of "
             f"{COMPONENT_BUDGET}")
+
+
+def _check_degree_budget(degree: int) -> None:
+    """Raise BudgetExceededError above QUOTIENT_DEGREE_BUDGET."""
+    if degree > QUOTIENT_DEGREE_BUDGET:
+        count = (f"{_CHORD_CLASSES[degree]:,}" if degree < len(_CHORD_CLASSES)
+                 else f"more than {_CHORD_CLASSES[-1]:,}")
+        raise BudgetExceededError(
+            f"degree {degree} ({count} chord diagram classes) exceeds the "
+            f"quotient degree budget of {QUOTIENT_DEGREE_BUDGET}")
 
 
 def check_crossing_budget(crossings: int, invariant: str) -> None:

@@ -67,6 +67,8 @@ class SparseEliminator:
 
     def __init__(self) -> None:
         self.pivots: dict[int, dict[int, int]] = {}
+        # non-pivot column -> the pivot columns whose rows hold it
+        self._holders: dict[int, set[int]] = {}
 
     @property
     def rank(self) -> int:
@@ -77,20 +79,27 @@ class SparseEliminator:
 
         Each pivot column of the row is cancelled once; a nonzero
         remainder becomes the pivot of its least column, which is then
-        cancelled out of every pivot row holding it.
+        cancelled out of the pivot rows holding it, found through the
+        column index.
         """
         row = _integer_row(row)[0]
-        pivots = self.pivots
+        pivots, holders = self.pivots, self._holders
         for col in [c for c in row if c in pivots]:
             row = _cancel(row, pivots[col], col)
         if not row:
             return False
         row = _normalize_int_row(row)
         lead = min(row)
-        for col, piv in pivots.items():
-            if lead in piv:
-                pivots[col] = _normalize_int_row(_cancel(piv, row, lead))
+        for col in holders.pop(lead, ()):
+            old = pivots[col]
+            pivots[col] = new = _normalize_int_row(_cancel(old, row, lead))
+            for c in old.keys() - new.keys() - {lead}:
+                holders[c].discard(col)
+            for c in new.keys() - old.keys():
+                holders.setdefault(c, set()).add(col)
         pivots[lead] = row
+        for c in row.keys() - {lead}:
+            holders.setdefault(c, set()).add(lead)
         return True
 
     def reduce(self, vec: dict[int, Fraction | int]) -> dict[int, Fraction]:

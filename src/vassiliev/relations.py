@@ -2,10 +2,10 @@
 
 The degree-i space of group factors is computed inside the span of
 chord diagrams (no internal vertices): internal vertices are eliminated
-by repeated STU resolutions, and the four-term (4T) relations -- the
-chord-level shadow of STU -- are generated mechanically as differences
-of the leg resolutions of one-vertex diagrams.  The reduced quotient
-additionally kills every diagram with an isolated chord.
+by repeated STU resolutions.  The reduced quotient also kills every
+diagram with an isolated chord, so each four-term (4T) relation -- the
+chord-level shadow of STU, a difference of the leg resolutions of a
+one-vertex diagram -- is one integer row over its columns (`_columns`).
 
 One STU kernel, `_resolved`, maps a partner tuple to the partner tuples
 of its two terms.  `stu` builds validated Diagrams from them; the 4T
@@ -38,6 +38,7 @@ from .diagrams import (
     has_isolated_chord,
     one_vertex_diagrams,
 )
+from .knots import _check_degree_budget
 from .linalg import SparseEliminator
 
 
@@ -192,15 +193,9 @@ def _reduce_canonical(d: Diagram) -> DiagramSum:
         leg = next(a for a in range(legs) if p[a] >= legs)
         for coeff, q in zip((1, -1), _resolved(legs, t, p, leg)):
             stack.append((t - 1, q, c * coeff))
-    return _chord_sum(L + T, leaves.items())
-
-
-def _chord_sum(L: int, terms) -> DiagramSum:
-    """The sum of (partner tuple, coefficient) chord terms on L legs,
-    each canonicalized through the cache without building a Diagram."""
     out = DiagramSum()
-    for p, c in terms:
-        out._add_signed(_canonical(L, 0, p)[0], c)
+    for p, c in leaves.items():  # canonicalized without building a Diagram
+        out._add_signed(_canonical(L + T, 0, p)[0], c)
     return out
 
 
@@ -208,29 +203,39 @@ def _chord_sum(L: int, terms) -> DiagramSum:
 # relation generators
 
 
+@functools.cache
+def _columns(degree: int) -> dict[Diagram, int]:
+    """The reduced quotient's columns: the chord classes with no isolated
+    chord, last-enumerated first (pivot rows stay short), by index."""
+    classes = [c for c in chord_diagrams(degree) if not has_isolated_chord(c)]
+    return {d: i for i, d in enumerate(reversed(classes))}
+
+
 @dataclass(frozen=True)
 class RelationSet:
-    """Generators of the degree's relations, each zero in the quotient."""
+    """The degree's 4T relations: nonzero integer rows over `_columns`."""
 
     degree: int
-    relations: tuple[DiagramSum, ...]
+    relations: tuple[dict[int, int], ...]
 
 
 @functools.cache
 def four_t_relations(degree: int) -> RelationSet:
-    """The 4T relations of a degree, generated as STU-resolution
-    differences of every one-vertex diagram (single source of truth:
-    nothing is hand-coded)."""
+    """The degree's 4T rows: STU-resolution differences of each one-vertex
+    diagram; leaves with no column (isolated chord) and zero rows dropped."""
+    columns = _columns(degree)
     rels = []
     for src in one_vertex_diagrams(degree):
-        L = src.legs
-        resolutions = [
-            _chord_sum(L + 1, zip(_resolved(L, 1, src.partner, leg), (1, -1)))
-            for leg in _leg_partners(src, 0)]
-        for other in resolutions[1:]:
-            diff = resolutions[0] - other
-            if diff:
-                rels.append(diff)
+        first, *others = [_resolved(src.legs, 1, src.partner, leg)
+                          for leg in _leg_partners(src, 0)]
+        for other in others:
+            row: dict[int | None, int] = {}
+            for p, c in zip(first + other, (1, -1, -1, 1)):
+                col = columns.get(_canonical(src.legs + 1, 0, p)[0].diagram)
+                row[col] = row.get(col, 0) + c
+            row = {col: c for col, c in row.items() if c and col is not None}
+            if row:
+                rels.append(row)
     return RelationSet(degree, tuple(rels))
 
 
@@ -241,19 +246,16 @@ def four_t_relations(degree: int) -> RelationSet:
 class QuotientSpace:
     """Span of degree-i chord diagrams modulo 4T and isolated chords.
 
-    `diagrams` is the ambient list of canonical chord diagrams without
-    an isolated chord; the 4T rows are reduced incrementally, shortest
-    first, and kept as integer pivot rows in reduced echelon form.
+    `diagrams` lists the columns; the 4T rows are reduced incrementally,
+    shortest first, and kept as integer pivot rows in reduced echelon form.
     """
 
     def __init__(self, degree: int):
         self.degree = degree
-        self.diagrams = [c for c in chord_diagrams(degree)
-                         if not has_isolated_chord(c)]
-        self.index = {d: i for i, d in enumerate(self.diagrams)}
+        self.index = _columns(degree)
+        self.diagrams = list(self.index)
         self.eliminator = SparseEliminator()
-        rows = map(self._vector, four_t_relations(degree).relations)
-        for row in sorted(filter(None, rows), key=len):
+        for row in sorted(four_t_relations(degree).relations, key=len):
             self.eliminator.add_row(row)
 
     def _vector(self, s: DiagramSum) -> dict[int, int | Fraction]:
@@ -261,12 +263,11 @@ class QuotientSpace:
         vec: dict[int, int | Fraction] = {}
         for d, c in s.terms.items():
             idx = self.index.get(d)
-            if idx is None:
-                if has_isolated_chord(d):
-                    continue  # killed in the reduced quotient
+            if idx is not None:
+                vec[idx] = c
+            elif not has_isolated_chord(d):  # else zero in this quotient
                 raise ValueError(
                     f"not a degree-{self.degree} chord diagram: {d}")
-            vec[idx] = c
         return vec
 
     @property
@@ -281,9 +282,6 @@ class QuotientSpace:
 
     def is_zero(self, s: DiagramSum | Diagram) -> bool:
         return not self.residual(s)
-
-    def classes_equal(self, s1: DiagramSum, s2: DiagramSum) -> bool:
-        return self.residual(s1 - s2) == {}
 
 
 def _drop_chord(d: Diagram, a: int, b: int) -> Diagram:
@@ -342,8 +340,9 @@ def _framed_class(d: Diagram) -> dict[tuple[int, int], Fraction]:
 
 
 def quotient_space(degree: int, reduced: bool = True) -> QuotientSpace:
-    """The degree's chord-diagram quotient: reduced (4T and isolated
-    chords) or framed (4T alone, built from the reduced ones)."""
+    """The degree's quotient, refused above the degree budget: reduced (4T
+    and isolated chords) or framed (4T alone, built from the reduced ones)."""
+    _check_degree_budget(degree)
     return _quotient_space(degree, bool(reduced))
 
 

@@ -21,6 +21,7 @@ from vassiliev.knots import (
     BRACKET_CROSSING_BUDGET,
     COMPONENT_BUDGET,
     HOMFLY_CROSSING_BUDGET,
+    QUOTIENT_DEGREE_BUDGET,
 )
 
 
@@ -523,6 +524,31 @@ def test_weight_budget_exit_3(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "weight", "--diagram",
                            serialize(at_limit), "--rank", "3")
     assert code == 0 and "value: -1024" in out
+
+
+def test_degree_budget_exit_3(capsys, monkeypatch):
+    # degree 9 (1,915,951 chord classes) exits 3 before any chord or
+    # one-vertex diagram is enumerated; degree 8 gets past the budget
+    from vassiliev import basis, relations
+
+    def no_enumeration(*args):
+        raise AssertionError("diagrams were enumerated")
+
+    for module, name in ((relations, "chord_diagrams"),
+                         (relations, "one_vertex_diagrams"),
+                         (basis, "connected_diagrams")):
+        monkeypatch.setattr(module, name, no_enumeration)
+    message = ("error: degree 9 (1,915,951 chord diagram classes) exceeds "
+               f"the quotient degree budget of {QUOTIENT_DEGREE_BUDGET}")
+    for argv in (["dims"], ["dims", "--unreduced"], ["basis"],
+                 ["extract", "--knot", "3_1"]):
+        code, out, err = run_cli(capsys, *argv, "--max-degree", "9")
+        assert code == 3 and not out and err.strip() == message, argv
+    code, _, err = run_cli(capsys, "dims", "--max-degree", "40")
+    assert code == 3 and "degree 40 (more than 32,743,182 chord" in err
+    with pytest.raises(AssertionError, match="enumerated"):
+        relations.quotient_space(QUOTIENT_DEGREE_BUDGET)
+    assert QUOTIENT_DEGREE_BUDGET == 8
 
 
 def _mutated(rng, text, alphabet):

@@ -187,8 +187,9 @@ def _reference_reduce(pivots, vec):
 def _eliminate_checked(rows, ncols):
     """A SparseEliminator fed `rows`, checked after every add_row against
     the reference RREF of the rows so far: each pivot row holds exactly one
-    pivot column, its least, and the pivot rows, each divided by its
-    lead, are the nonzero rows of the dense RREF."""
+    pivot column, its least, the pivot rows, each divided by its lead,
+    are the nonzero rows of the dense RREF, and the column index names
+    exactly the pivot rows holding each non-pivot column."""
     elim = SparseEliminator()
     dense: list[list[Fraction]] = []
     for row in rows:
@@ -202,6 +203,10 @@ def _eliminate_checked(rows, ncols):
         for col, piv in pivots.items():
             assert min(piv) == col
             assert [c for c in piv if c in pivots] == [col]
+        assert {c: held for c, held in elim._holders.items() if held} == {
+            c: {col for col, piv in pivots.items() if c in piv}
+            for c in range(ncols)
+            if c not in pivots and any(c in piv for piv in pivots.values())}
         assert [[Fraction(pivots[col].get(c, 0), pivots[col][col])
                  for c in range(ncols)] for col in cols] == dense
     return elim
@@ -244,8 +249,7 @@ def test_sparse_eliminator_quotient_residuals_match_reference():
     # first); every chord diagram's residual against the reference loop
     for n in range(1, 6):
         space = quotient_space(n, True)
-        rows = [row for row in map(space._vector,
-                                   four_t_relations(n).relations) if row]
+        rows = four_t_relations(n).relations
         elim = _eliminate_checked(rows, len(space.diagrams))
         assert elim.pivots == space.eliminator.pivots
         vecs = [{space.index[d]: 1} for d in chord_diagrams(n)

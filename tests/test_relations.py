@@ -5,7 +5,7 @@ import random
 import pytest
 
 from vassiliev import relations
-from vassiliev.basis import _leg_swap
+from vassiliev.basis import _basis_eliminator, _leg_swap, shared_basis
 from vassiliev.diagrams import (
     Diagram,
     DiagramSum,
@@ -14,6 +14,7 @@ from vassiliev.diagrams import (
     chord_diagrams,
     connected_diagrams,
     decompose,
+    has_isolated_chord,
     one_vertex_diagrams,
     product,
     random_diagram,
@@ -127,10 +128,22 @@ def test_surgery_outputs_pinned():
                   for c in decompose(d).components]
         lines.append(serialize(product(d, other)))
         lines += [serialize(_leg_swap(d, p, (p + 1) % L)) for p in range(L)]
+    # each framed class by the basis coordinates of its theta-power
+    # parts, which do not depend on the quotient's column order
+    basis = shared_basis(5)
     for d in chord_diagrams(5):
-        lines.append(str(sorted(quotient_space(5, False).residual(d).items())))
+        parts: dict = {}
+        for (k, c), x in quotient_space(5, False).residual(d).items():
+            parts.setdefault(k, {})[c] = x
+        coords = []
+        for k, part in sorted(parts.items()):
+            tags = len(quotient_space(5 - k).diagrams)
+            res = _basis_eliminator(basis, 5 - k).reduce(part)
+            assert min(res) >= tags
+            coords.append((k, sorted((c - tags, x) for c, x in res.items())))
+        lines.append(str(coords))
     text = "\n".join(lines)
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "12bf111abc9677e6"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "0b69dc7d2d078646"
 
 
 def test_reduce_chord_input_identity():
@@ -275,7 +288,7 @@ def test_reduce_order_independent_mod_relations():
     for _ in range(20):
         d = random_diagram(rng, rng.randint(2, 5))
         space = quotient_space(d.degree, False)
-        assert space.classes_equal(reduce_to_chords(d), _reduce_alternative(d)), \
+        assert space.is_zero(reduce_to_chords(d) - _reduce_alternative(d)), \
             serialize(d)
 
 
@@ -297,45 +310,109 @@ def test_dimension_rejects_negative():
         dimension(-1)
 
 
+# --------------------------------------------------------------------------
+# the 4T rows against the 4T relation written by hand on circle positions
+
+# Bar-Natan's table (Topology 34, 1995), reduced and framed, degrees 0..6
+REDUCED_DIMS = (1, 0, 1, 1, 3, 4, 9)
+FRAMED_DIMS = (1, 1, 2, 3, 6, 10, 19)
+
+
+def _from_word(word):
+    """The chord diagram whose circle positions carry these chord labels."""
+    ends: dict = {}
+    for pos, label in enumerate(word):
+        ends.setdefault(label, []).append(pos)
+    return chord_diagram([tuple(e) for e in ends.values()])
+
+
+@functools.cache
+def _hand_four_t(degree):
+    """The 4T relations on circle positions, with no STU: for each chord
+    diagram, each end x of a chord b and each other chord a with ends a1
+    and a2, x moved just before a1, just after a1, just before a2 and
+    just after a2, with coefficients +1, -1, +1, -1 (nonzero sums)."""
+    rels = []
+    for d in chord_diagrams(degree):
+        word = [0] * d.legs
+        for label, (p, q) in enumerate(d.edges):
+            word[p] = word[q] = label
+        for x, b in enumerate(word):
+            rest = word[:x] + word[x + 1:]
+            for a in set(word) - {b}:
+                a1, a2 = [pos for pos, label in enumerate(rest) if label == a]
+                rel = DiagramSum()
+                for pos, c in ((a1, 1), (a1 + 1, -1), (a2, 1), (a2 + 1, -1)):
+                    rel.add(_from_word(rest[:pos] + [b] + rest[pos:]), c)
+                if rel:
+                    rels.append(rel)
+    return tuple(rels)
+
+
+@functools.cache
+def _hand_oracle(degree, reduced):
+    """(column index, eliminator) of the hand 4T rows over every chord
+    class, or over those with no isolated chord (the others dropped)."""
+    index = {d: i for i, d in enumerate(
+        d for d in chord_diagrams(degree)
+        if not (reduced and has_isolated_chord(d)))}
+    elim = SparseEliminator()
+    for rel in _hand_four_t(degree):
+        elim.add_row({index[d]: c for d, c in rel.terms.items() if d in index})
+    return index, elim
+
+
+def _assert_four_t_matches_hand(degree):
+    """Bar-Natan's dimensions from the hand rows alone, and the generated
+    rows: nonzero integer rows over the reduced columns, each in the hand
+    rows' span, of the same rank (so the same span)."""
+    index, elim = _hand_oracle(degree, True)
+    framed_index, framed = _hand_oracle(degree, False)
+    assert len(index) - elim.rank == REDUCED_DIMS[degree]
+    assert len(framed_index) - framed.rank == FRAMED_DIMS[degree]
+    columns = list(relations._columns(degree))
+    assert set(columns) == set(index)
+    rels = four_t_relations(degree)
+    assert rels.degree == degree
+    for row in rels.relations:
+        assert row and all(type(c) is int for c in row.values())
+        assert not elim.reduce({index[columns[col]]: c
+                                for col, c in row.items()})
+    assert quotient_space(degree).eliminator.rank == elim.rank
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_four_t_rows_match_hand_relations(degree):
+    _assert_four_t_matches_hand(degree)
+
+
 def test_four_t_relations_vanish_in_quotient():
+    # every hand 4T row is zero in the reduced and the framed quotient
     for degree in (2, 3, 4, 5):
-        rels = four_t_relations(degree)
-        assert rels.degree == degree
-        space = quotient_space(degree, False)
-        for rel in rels.relations:
-            assert all(t.degree == degree for t in rel.terms)
-            assert space.is_zero(rel)
+        reduced, framed = quotient_space(degree), quotient_space(degree, False)
+        for rel in _hand_four_t(degree):
+            assert reduced.is_zero(rel) and framed.is_zero(rel)
 
 
 def test_relation_and_reduction_coefficients_are_integers():
     # STU, IHX and 4T have +-1 coefficients: no Fraction enters the
     # relation layer
     for n in range(2, 7):
-        for rel in four_t_relations(n).relations:
-            assert all(type(c) is int for c in rel.terms.values())
+        for row in four_t_relations(n).relations:
+            assert row and all(type(c) is int for c in row.values())
         for d in one_vertex_diagrams(n):
             assert all(type(c) is int
                        for c in reduce_to_chords(d).terms.values())
 
 
 # --------------------------------------------------------------------------
-# the framed quotient against a direct elimination over all chord diagrams
-
-
-@functools.cache
-def _framed_oracle(degree):
-    """Chord diagrams modulo 4T alone, by eliminating every 4T row over
-    the whole ambient space (no isolated-chord filter, no A[theta])."""
-    index = {d: i for i, d in enumerate(chord_diagrams(degree))}
-    elim = SparseEliminator()
-    for rel in four_t_relations(degree).relations:
-        elim.add_row({index[d]: c for d, c in rel.terms.items()})
-    return index, elim
+# the framed quotient against a direct elimination of the hand 4T rows over
+# all chord diagrams (no isolated-chord filter, no A[theta])
 
 
 @pytest.mark.parametrize("degree", range(6))
 def test_framed_dimension_matches_elimination(degree):
-    index, elim = _framed_oracle(degree)
+    index, elim = _hand_oracle(degree, False)
     assert dimension(degree, False) == len(index) - elim.rank
     # the classes of the chord diagrams span a space of that dimension
     space = quotient_space(degree, False)
@@ -351,9 +428,9 @@ def test_framed_is_zero_matches_elimination():
     rng = random.Random(61)
     zeros = nonzeros = 0
     for degree in range(6):
-        index, elim = _framed_oracle(degree)
+        index, elim = _hand_oracle(degree, False)
         ambient = list(index)
-        rels = four_t_relations(degree).relations
+        rels = _hand_four_t(degree)
         space = quotient_space(degree, False)
         for _ in range(80):
             v = DiagramSum()
@@ -398,6 +475,6 @@ def test_framed_quotient_eliminates_no_rows(monkeypatch):
     monkeypatch.setattr(SparseEliminator, "add_row", counting)
     space = relations.FramedQuotientSpace(4)
     assert space.dimension == 6
-    assert all(space.is_zero(rel) for rel in four_t_relations(4).relations)
+    assert all(space.is_zero(rel) for rel in _hand_four_t(4))
     assert relations._framed_class.cache_info().currsize > 0
     assert calls == []

@@ -358,6 +358,54 @@ def test_gl_chord_weight_is_one_monomial():
                 assert weight_sun(d, cfg) == expect, serialize(d)
 
 
+def _gf2_rank(rows):
+    """Rank over GF(2) of rows given as int bit masks."""
+    rank = 0
+    while rows:
+        pivot, *rows = rows
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [r ^ pivot if r & low else r for r in rows]
+    return rank
+
+
+def _moran_cycle_counts(d):
+    """{(|J|, cyc(D - J)): number of chord subsets J}, with cyc(D - J) =
+    m' + 1 - the GF(2) rank of the m' x m' intersection matrix of the m'
+    chords of D - J (Moran, J. Combin. Theory A 37, 1984): no walk."""
+    chords = [sorted(e) for e in d.edges]
+
+    def crosses(k, j):
+        (a, b), (c, e) = chords[k], chords[j]
+        return (a < c < b) != (a < e < b)
+
+    counts: dict = {}
+    for removed in range(1 << len(chords)):
+        kept = [k for k in range(len(chords)) if not removed >> k & 1]
+        rows = [sum(1 << i for i, j in enumerate(kept) if crosses(k, j))
+                for k in kept]
+        key = (len(chords) - len(kept), len(kept) + 1 - _gf2_rank(rows))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def test_cycle_counts_match_gf2_intersection_rank():
+    # the boundary walk of every chord diagram of degree 0..6 and of
+    # seeded ones of degree 7 and 8 against the intersection-matrix rank
+    inputs = [d for m in range(7) for d in chord_diagrams(m)]
+    assert len(inputs) == 1034
+    rng = random.Random(71)
+    for m in (7, 8):
+        for _ in range(12):
+            ends = list(range(2 * m))
+            rng.shuffle(ends)
+            inputs.append(chord_diagram(list(zip(ends[::2], ends[1::2]))))
+    for d in inputs:
+        assert weights._cycle_counts(d) == _moran_cycle_counts(d), \
+            serialize(d)
+
+
 def test_weights_unchanged_after_clear_caches():
     d = random_diagram(random.Random(48), 5)
     before = (weight_sun(d, CFG), weight_sun_deframed(d, CFG))
