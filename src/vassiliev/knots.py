@@ -25,12 +25,13 @@ Invariants:
     BRACKET_CROSSING_BUDGET crossings and COMPONENT_BUDGET components;
   * homfly -- skein recursion (a^{-1} P+ - a P- = z P0, unknot = 1)
     toward descending diagrams.  Each state first loses its curls
-    (Reidemeister I) and bigons (Reidemeister II); a descending state
-    is then evaluated at once, and any other is memoized on its walk
-    code, which records every arc but is not minimized over crossing
-    ids: after the removal few states recur, and a least-code search
-    cost more than its extra hits saved.  At most HOMFLY_CROSSING_BUDGET
-    crossings and COMPONENT_BUDGET components;
+    (Reidemeister I) and bigons (Reidemeister II); then one walk gives
+    its memo key, the crossing to resolve and its component count.  A
+    descending state is evaluated at once, and any other is memoized on
+    its walk code, which records every arc but is not minimized over
+    crossing ids: after the removal few states recur, and a least-code
+    search cost more than its extra hits saved.  At most
+    HOMFLY_CROSSING_BUDGET crossings and COMPONENT_BUDGET components;
   * sun_slice -- the su(N) slice a = q^N, z = q - q^{-1}, expanded by
     the binomial theorem; at N = 2 it recovers jones with t = q^2.
 """
@@ -57,7 +58,7 @@ BRACKET_CROSSING_BUDGET = 16
 # components, free loops included: an n-component unlink has an n-term
 # answer with n-bit coefficients, so free strands cost as crossings do
 COMPONENT_BUDGET = 100
-# chord-diagram quotients and bases: cold, degree 8 took 68 s and 630 MB
+# chord-diagram quotients and bases: cold, degree 8 took 70-87 s and 610 MB
 # (Python 3.11, 2-vCPU VM), and degree 9 has 15 times its chord classes
 QUOTIENT_DEGREE_BUDGET = 8
 # chord diagrams up to rotation by degree (OEIS A007769)
@@ -465,7 +466,8 @@ class _OrientedState:
 
     Ports 0..3 counterclockwise with 0 = under-in; the over strand runs
     3 -> 1 on positive and 1 -> 3 on negative crossings.  Arcs pair an
-    out-port with an in-port.
+    out-port with an in-port.  One walk (`walk`) gives the skein its
+    memo key, the crossing to resolve and the component count.
     """
 
     __slots__ = ("signs", "wiring", "loops")
@@ -497,21 +499,6 @@ class _OrientedState:
                 cur = (k, p ^ 2)
             if comp:
                 yield comp
-
-    def first_bad_crossing(self):
-        """(k, None) for the first crossing k reached on its under strand
-        before any other visit, along the deterministic walk; (None,
-        component count) if the diagram is descending."""
-        visited = set()
-        comps = self.loops
-        for comp in self._walk_components():
-            comps += 1
-            for (k, p) in comp:
-                if k not in visited:
-                    visited.add(k)
-                    if p == 0:  # arrived on the under strand first
-                        return k, None
-        return None, comps
 
     def switched(self, k: int) -> "_OrientedState":
         """Same diagram with crossing k switched."""
@@ -589,26 +576,36 @@ class _OrientedState:
         wiring.update(spliced)  # rewires every far end of a deleted port
         return _OrientedState(signs, wiring, self.loops + loops)
 
-    def walk_code(self) -> tuple:
-        """The skein memo key: per component, a token per arrival,
+    def walk(self) -> tuple:
+        """One pass over the components: (code, bad, components).
+
+        code is the skein memo key: per component, a token per arrival,
         ("n", sign, port) at a new crossing and ("o", its discovery number,
         port) at a known one, then ("c",); last ("loops", free loops).
         The out-port after arrival (k, p) is (k, p ^ 2), so equal codes
         are the same diagram; one diagram under other crossing ids may
         take a second memo entry, which costs time, never a wrong value.
+        bad is the first crossing reached on its under strand before any
+        other visit, None if the diagram is descending; components counts
+        the components, free loops included.
         """
         disc: dict[int, int] = {}
         tokens: list = []
+        bad = None
+        comps = self.loops
         for comp in self._walk_components():
+            comps += 1
             for k, p in comp:
                 if k in disc:
                     tokens.append(("o", disc[k], p))
                 else:
+                    if p == 0 and bad is None:  # under strand first
+                        bad = k
                     disc[k] = len(disc)
                     tokens.append(("n", self.signs[k], p))
             tokens.append(("c",))
         tokens.append(("loops", self.loops))
-        return tuple(tokens)
+        return tuple(tokens), bad, comps
 
     def to_planar(self) -> PlanarDiagram:
         """Retrace into sequential PD form (components in walk order)."""
@@ -643,12 +640,11 @@ _HOMFLY_MEMO: dict[tuple, Laurent2] = {}
 
 
 def _homfly_state(state: _OrientedState) -> Laurent2:
-    # curls and bigons first, then a descending state needs no memo key
+    # curls and bigons first, then one walk for the key, crossing and count
     state = state.reduced()
-    bad, comps = state.first_bad_crossing()
+    code, bad, comps = state.walk()
     if bad is None:
-        return _DELTA ** (comps - 1) if comps > 1 else Laurent2.one()
-    code = state.walk_code()
+        return _DELTA ** (comps - 1)
     cached = _HOMFLY_MEMO.get(code)
     if cached is not None:
         return cached

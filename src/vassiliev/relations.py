@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .diagrams import (
     Diagram,
@@ -247,7 +248,7 @@ class QuotientSpace:
     """Span of degree-i chord diagrams modulo 4T and isolated chords.
 
     `diagrams` lists the columns; the 4T rows are reduced incrementally,
-    shortest first, and kept as integer pivot rows in reduced echelon form.
+    as generated, and kept as integer pivot rows in reduced echelon form.
     """
 
     def __init__(self, degree: int):
@@ -255,7 +256,7 @@ class QuotientSpace:
         self.index = _columns(degree)
         self.diagrams = list(self.index)
         self.eliminator = SparseEliminator()
-        for row in sorted(four_t_relations(degree).relations, key=len):
+        for row in four_t_relations(degree).relations:
             self.eliminator.add_row(row)
 
     def _vector(self, s: DiagramSum) -> dict[int, int | Fraction]:
@@ -284,15 +285,8 @@ class QuotientSpace:
         return not self.residual(s)
 
 
-def _drop_chord(d: Diagram, a: int, b: int) -> Diagram:
-    """The chord diagram d without its chord (a, b), a < b."""
-    image = list(range(d.legs - 2))
-    image.insert(a, -1)
-    image.insert(b, -1)
-    return canonicalize(Diagram(d.legs - 2, 0, _moved(d, image))).diagram
-
-
-class FramedQuotientSpace(QuotientSpace):
+@dataclass(frozen=True)
+class FramedQuotientSpace:
     """Span of degree-n chord diagrams modulo 4T alone, read off the
     reduced quotients through A^fr = A[theta] (theta the isolated chord).
 
@@ -304,12 +298,11 @@ class FramedQuotientSpace(QuotientSpace):
     the sum over |J| = n-k of the reduced residual of D_J (0 when D_J has
     an isolated chord), and `residual` returns {(k, column): x}.  Each
     class is built from the degree-(n-1) classes of D minus one chord,
-    which count every J with |J| = n-k exactly k times (`_framed_class`,
-    memoized per chord diagram).  No 4T row is eliminated here.
+    which count every J with |J| = n-k exactly k times: each theta^k part
+    is kept times k! (`_framed_class`).  No 4T row is eliminated here.
     """
 
-    def __init__(self, degree: int):
-        self.degree = degree
+    degree: int
 
     @property
     def dimension(self) -> int:
@@ -325,21 +318,27 @@ class FramedQuotientSpace(QuotientSpace):
                 raise ValueError(
                     f"not a degree-{self.degree} chord diagram: {d}")
             for key, x in _framed_class(d).items():
-                out[key] = out.get(key, 0) + c * x
+                out[key] = out.get(key, 0) + c * x / factorial(key[0])
         return {key: x for key, x in out.items() if x}
+
+    def is_zero(self, s: DiagramSum | Diagram) -> bool:
+        return not self.residual(s)
 
 
 @functools.cache
 def _framed_class(d: Diagram) -> dict[tuple[int, int], Fraction]:
-    """Framed class of a canonical chord diagram, {(k, column): x}."""
+    """Framed class of a canonical chord diagram, {(k, column): k! x}."""
     out = {(0, c): x for c, x in quotient_space(d.degree).residual(d).items()}
-    for a, b in d.edges:
-        for (k, c), x in _framed_class(_drop_chord(d, a, b)).items():
-            out[(k + 1, c)] = out.get((k + 1, c), 0) + x / (k + 1)
+    for a, b in d.edges:  # drop chord (a, b), entries b and a; shift the rest
+        rest = [e - (e > a) - (e > b) for e in d.partner if e not in (a, b)]
+        minus = _canonical(d.legs - 2, 0, tuple(rest))[0].diagram
+        for (k, c), x in _framed_class(minus).items():
+            out[(k + 1, c)] = out.get((k + 1, c), 0) + x
     return {key: x for key, x in out.items() if x}
 
 
-def quotient_space(degree: int, reduced: bool = True) -> QuotientSpace:
+def quotient_space(degree: int, reduced: bool = True
+                   ) -> QuotientSpace | FramedQuotientSpace:
     """The degree's quotient, refused above the degree budget: reduced (4T
     and isolated chords) or framed (4T alone, built from the reduced ones)."""
     _check_degree_budget(degree)
@@ -347,7 +346,7 @@ def quotient_space(degree: int, reduced: bool = True) -> QuotientSpace:
 
 
 @functools.cache
-def _quotient_space(degree: int, reduced: bool) -> QuotientSpace:
+def _quotient_space(degree: int, reduced: bool):
     # one positional key per (degree, reduced), whatever the call shape
     return (QuotientSpace if reduced else FramedQuotientSpace)(degree)
 

@@ -130,7 +130,7 @@ def test_labels_carry_the_signs_and_components_of_every_state():
                 walks = sum(1 for _ in s._walk_components())
                 assert pd.components == walks + s.loops, label
                 checked += 1
-            bad, _ = state.first_bad_crossing()
+            _, bad, _ = state.walk()
             if bad is not None:
                 stack += [state.smoothed(bad), state.switched(bad)]
     assert checked > 10000, checked
@@ -413,7 +413,7 @@ def test_knot_polynomials_keep_int_coefficients():
 
 
 def test_homfly_memo_matches_fresh():
-    # the skein memo is keyed on walk_code; a key that merged two
+    # the skein memo is keyed on the walk code; a key that merged two
     # different states would make shared-memo values differ from fresh ones
     from vassiliev.knots import _HOMFLY_MEMO
 
@@ -434,6 +434,38 @@ def test_homfly_memo_matches_fresh():
     for (s, w), value in zip(words, shared):
         _HOMFLY_MEMO.clear()  # the skein recursion's only cache
         assert homfly(BraidWord(s, w)) == value, (s, w)
+
+
+def test_homfly_walks_each_skein_state_once(monkeypatch):
+    # one walk of a reduced state gives its memo key, the crossing to
+    # resolve and its component count, so every skein state, descending
+    # or not, walks its components exactly once
+    from vassiliev import knots
+
+    counts = {"states": 0, "walks": 0}
+    state_fn, walk_fn = knots._homfly_state, _OrientedState._walk_components
+
+    def counting_state(state):
+        counts["states"] += 1
+        return state_fn(state)
+
+    def counting_walk(self):
+        counts["walks"] += 1
+        return walk_fn(self)
+
+    # knots, then links of 2 and 3 components and a Hopf link with a free
+    # loop, all built before the count, as closures and mirrors walk
+    # their states in to_planar
+    words = [(2, [1, 1, 1, 1]), (3, [1, 1, -2, -2, 1, 2, 2, 1]), (3, [1, 1])]
+    pds = [pd for _, pd in _table_and_braid_knots(37, 40)]
+    pds += [braid_closure(BraidWord(s, w)) for s, w in words]
+    monkeypatch.setattr(knots, "_homfly_state", counting_state)
+    monkeypatch.setattr(_OrientedState, "_walk_components", counting_walk)
+    monkeypatch.setattr(knots, "_HOMFLY_MEMO", {})  # every state cold
+    for pd in pds:
+        homfly(pd)
+    assert counts["walks"] == counts["states"] > 300, counts
+    assert len(knots._HOMFLY_MEMO) > 100  # states that are not descending
 
 
 def test_markov_stabilization_invariance():
@@ -883,24 +915,22 @@ def test_walk_code_never_merges_distinct_states():
     # homfly's curl and bigon removal leaves few states for the key; a
     # state whose key was met before is not expanded again, as a memo hit
     # would not be
-    classes: dict = {}  # walk_code -> the reference code first met
+    classes: dict = {}  # walk code -> the reference code first met
     seen = {"states": 0, "split": 0, "three": 0}
     for label, pd in _skein_code_cases():
         codes = set()
         stack = [_OrientedState.from_planar(pd)]
         while stack:
             state = stack.pop()
-            code = state.walk_code()
+            code, bad, comps = state.walk()
             reference = _reference_canonical_code(state)
             assert classes.setdefault(code, reference) == reference, label
             seen["states"] += 1
             seen["split"] += ("s",) in reference
-            walks = sum(1 for _ in state._walk_components())
-            seen["three"] += walks + state.loops == 3
+            seen["three"] += comps == 3
             if code in codes:
                 continue
             codes.add(code)
-            bad, _ = state.first_bad_crossing()
             if bad is not None:
                 stack += [state.smoothed(bad), state.switched(bad)]
     assert seen["states"] > 5000
@@ -918,9 +948,8 @@ def _reference_homfly(pd: PlanarDiagram) -> Laurent2:
     memo: dict = {}
 
     def value(state):
-        code = state.walk_code()
+        code, bad, comps = state.walk()
         if code not in memo:
-            bad, comps = state.first_bad_crossing()
             if bad is None:
                 memo[code] = _DELTA ** (comps - 1)
             else:

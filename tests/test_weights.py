@@ -406,6 +406,42 @@ def test_cycle_counts_match_gf2_intersection_rank():
             serialize(d)
 
 
+def _intersection_graph_form(d):
+    """Canonical form of the intersection graph of d's chords: the degree
+    sequence and the least adjacency code over the vertex orders that
+    list the vertices by degree (an isomorphism keeps the degrees)."""
+    chords = d.edges
+    adj = [[(a < c < b) != (a < e < b) for c, e in chords] for a, b in chords]
+    degree = [sum(row) for row in adj]
+    blocks = [[v for v, k in enumerate(degree) if k == level]
+              for level in sorted(set(degree))]
+    orders = (sum(p, ()) for p in itertools.product(
+        *map(itertools.permutations, blocks)))
+    return tuple(sorted(degree)), min(
+        tuple(adj[x][y] for i, x in enumerate(order) for y in order[i + 1:])
+        for order in orders)
+
+
+def test_weights_depend_only_on_the_intersection_graph():
+    # by the GF(2) cycle formula above, cyc(D - J) reads only the
+    # intersection graph, so both fundamental su(N) weights are equal on
+    # chord diagrams with isomorphic intersection graphs.  The group
+    # counts are the circle graphs on n vertices (OEIS A156809), so the
+    # form neither merges nor splits graphs
+    for n, graphs in enumerate((1, 1, 2, 4, 11, 34, 154)):
+        groups: dict = {}
+        for d in chord_diagrams(n):
+            groups.setdefault(_intersection_graph_form(d), []).append(d)
+        assert len(groups) == graphs, n
+        if n >= 4:
+            assert max(map(len, groups.values())) >= 2, n
+        for first, *rest in groups.values():
+            plain, deframed = weight_sun(first), weight_sun_deframed(first)
+            for d in rest:
+                assert weight_sun(d) == plain, serialize(d)
+                assert weight_sun_deframed(d) == deframed, serialize(d)
+
+
 def test_weights_unchanged_after_clear_caches():
     d = random_diagram(random.Random(48), 5)
     before = (weight_sun(d, CFG), weight_sun_deframed(d, CFG))
